@@ -192,25 +192,20 @@ func warmSpecs(arg string) ([]exp.Spec, error) {
 	if arg == "" {
 		return nil, nil
 	}
-	known := exp.Experiments()
 	names := strings.Split(arg, ",")
 	if strings.TrimSpace(arg) == "all" {
-		names = known
-	}
-	valid := make(map[string]bool, len(known))
-	for _, n := range known {
-		valid[n] = true
+		names = exp.Experiments()
 	}
 	var specs []exp.Spec
 	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" {
+		s := exp.Spec{Experiment: strings.TrimSpace(n)}
+		if s.Experiment == "" {
 			continue
 		}
-		if !valid[n] {
-			return nil, fmt.Errorf("unknown experiment %q (see GET /experiments)", n)
+		if s.Validate() != nil {
+			return nil, fmt.Errorf("unknown experiment %q (see GET /experiments)", s.Experiment)
 		}
-		specs = append(specs, exp.Spec{Experiment: n})
+		specs = append(specs, s)
 	}
 	return specs, nil
 }

@@ -14,6 +14,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/analytic"
 )
@@ -34,11 +35,6 @@ func (p AnalyticPoint) C2MDegradation() float64 {
 	return degradation(p.Iso.C2MBytesPerSec, p.Co.C2MBytesPerSec)
 }
 
-// analyticExperiments are the experiments the predictive model can answer:
-// the parameterized point sweeps. hostcc is answered as its unmitigated
-// colocation point (the mitigation study itself needs the simulator).
-var analyticExperiments = map[string]bool{"quadrant": true, "rdma": true, "hostcc": true}
-
 // unsupported wraps an UnsupportedError reason into the error RunSpec
 // returns for specs outside the model's domain.
 func unsupported(format string, args ...any) error {
@@ -47,10 +43,14 @@ func unsupported(format string, args ...any) error {
 
 // runSpecAnalytic answers a normalized, validated analytic-fidelity spec.
 // The result is []AnalyticPoint in sweep order for every supported
-// experiment (hostcc contributes its single point).
+// experiment (the registry's analytic entries: the parameterized point
+// sweeps, and studies without a core axis — hostcc — as their single
+// unmitigated colocation point).
 func runSpecAnalytic(n Spec) (any, error) {
-	if !analyticExperiments[n.Experiment] {
-		return nil, unsupported("experiment %q has no predictive-model mapping (supported: hostcc, quadrant, rdma)", n.Experiment)
+	e := registry[n.Experiment]
+	if !e.analytic {
+		return nil, unsupported("experiment %q has no predictive-model mapping (supported: %s)", n.Experiment,
+			strings.Join(experimentsWhere(func(e *experiment) bool { return e.analytic }), ", "))
 	}
 	if n.Preset != "" && n.Preset != "cascadelake" {
 		return nil, unsupported("preset %q has no calibration (only cascadelake)", n.Preset)
@@ -63,8 +63,8 @@ func runSpecAnalytic(n Spec) (any, error) {
 	}
 	hw := analytic.CascadeLakeHW()
 	cores := n.Cores
-	if n.Experiment == "hostcc" {
-		cores = cores[:1] // the study takes a single core count
+	if e.split == nil {
+		cores = cores[:1] // no core axis: the study takes a single count
 	}
 	pts := make([]AnalyticPoint, len(cores))
 	for i, c := range cores {
@@ -176,9 +176,9 @@ func DecodeCrossval(env []byte) (*CrossvalResult, error) {
 // CrossvalFromEnvelopes compares an analytic Result envelope with the sim
 // twin's envelope (same experiment, fidelity cleared) and returns the
 // experiment name and per-point errors — hostnetd's background-refinement
-// mode feeds its crossval tracker with these. Only the per-point sweep
-// experiments compare structurally (quadrant, rdma); for anything else it
-// returns nil points and no error.
+// mode feeds its crossval tracker with these. Only the analytic experiments
+// with a core axis compare structurally (quadrant, rdma); for anything else
+// it returns nil points and no error.
 func CrossvalFromEnvelopes(analyticEnv, simEnv []byte) (experiment string, pts []CrossvalPoint, err error) {
 	var aEnv struct {
 		Spec   Spec            `json:"spec"`
@@ -195,22 +195,13 @@ func CrossvalFromEnvelopes(analyticEnv, simEnv []byte) (experiment string, pts [
 		return "", nil, fmt.Errorf("crossval: decoding sim envelope: %w", err)
 	}
 	experiment = sEnv.Spec.Experiment
-	var simPts []QuadrantPoint
-	switch experiment {
-	case "quadrant":
-		if err := json.Unmarshal(sEnv.Result, &simPts); err != nil {
-			return "", nil, fmt.Errorf("crossval: decoding sim quadrant payload: %w", err)
-		}
-	case "rdma":
-		var rPts []RDMAQuadrantPoint
-		if err := json.Unmarshal(sEnv.Result, &rPts); err != nil {
-			return "", nil, fmt.Errorf("crossval: decoding sim rdma payload: %w", err)
-		}
-		for _, rp := range rPts {
-			simPts = append(simPts, rp.QuadrantPoint)
-		}
-	default:
+	if e := registry[experiment]; e == nil || !e.analytic || e.split == nil {
 		return experiment, nil, nil // hostcc etc.: no per-point structural comparison
+	}
+	// A quadrant payload decodes as RDMA points with zero NIC observables.
+	var simPts []RDMAQuadrantPoint
+	if err := json.Unmarshal(sEnv.Result, &simPts); err != nil {
+		return "", nil, fmt.Errorf("crossval: decoding sim %s payload: %w", experiment, err)
 	}
 	if len(simPts) != len(aEnv.Result) {
 		return "", nil, fmt.Errorf("crossval: %d sim points vs %d analytic points", len(simPts), len(aEnv.Result))
@@ -222,7 +213,7 @@ func CrossvalFromEnvelopes(analyticEnv, simEnv []byte) (experiment string, pts [
 			return "", nil, fmt.Errorf("crossval: point %d mismatch: sim (q%d, %d cores) vs analytic (q%d, %d cores)",
 				i, sp.Quadrant, sp.Cores, ap.Quadrant, ap.Cores)
 		}
-		pts[i] = crossvalPoint(sp, ap)
+		pts[i] = crossvalPoint(sp.QuadrantPoint, ap)
 	}
 	return experiment, pts, nil
 }

@@ -98,34 +98,28 @@ func (p AppPoint) String() string {
 // RunAppColocation sweeps core counts for one app against one FIO direction;
 // the device baseline and the per-count points run on the options' pool.
 func RunAppColocation(a App, dir periph.Direction, coreCounts []int, opt Options) []AppPoint {
-	// Device baseline, independent of the app core count.
 	var p2mIso float64
-	pts := make([]AppPoint, len(coreCounts))
-	tasks := make([]func(), 0, len(coreCounts)+1)
-	tasks = append(tasks, func() {
+	pts := sweep(opt, coreCounts, func() {
+		// Device baseline, independent of the app core count.
 		devIso := opt.newHost()
 		devIso.AddStorage(periph.BulkConfig(dir, devIso.Region(1<<30)))
 		devIso.Run(opt.Warmup, opt.Window)
 		p2mIso = devIso.P2MBW()
-	})
-	for idx, n := range coreCounts {
-		tasks = append(tasks, func() {
-			p := AppPoint{App: a, Cores: n, DDIO: opt.DDIO}
-			iso, metric := appHost(a, n, opt)
-			iso.Run(opt.Warmup, opt.Window)
-			p.AppIso = metric()
-			p.Iso = snapshot(iso)
+	}, func(_, n int) AppPoint {
+		p := AppPoint{App: a, Cores: n, DDIO: opt.DDIO}
+		iso, metric := appHost(a, n, opt)
+		iso.Run(opt.Warmup, opt.Window)
+		p.AppIso = metric()
+		p.Iso = snapshot(iso)
 
-			co, coMetric := appHost(a, n, opt)
-			co.AddStorage(periph.BulkConfig(dir, co.Region(1<<30)))
-			co.Run(opt.Warmup, opt.Window)
-			p.AppCo = coMetric()
-			p.P2MCo = co.P2MBW()
-			p.Co = snapshot(co)
-			pts[idx] = p
-		})
-	}
-	pdo(opt, tasks...)
+		co, coMetric := appHost(a, n, opt)
+		co.AddStorage(periph.BulkConfig(dir, co.Region(1<<30)))
+		co.Run(opt.Warmup, opt.Window)
+		p.AppCo = coMetric()
+		p.P2MCo = co.P2MBW()
+		p.Co = snapshot(co)
+		return p
+	})
 	for i := range pts {
 		pts[i].P2MIso = p2mIso
 	}
@@ -145,14 +139,18 @@ type Fig1Result struct {
 func RunFig1(opt Options) Fig1Result {
 	opt.Preset = host.IceLake
 	opt.DDIO = true
-	cores := []int{2, 4, 8, 16, 24, 28}
 	var res Fig1Result
 	pdo(opt,
-		func() { res.Redis = RunAppColocation(RedisRead, periph.DMAWrite, cores, opt) },
-		func() { res.GAPBS = RunAppColocation(GAPBSPR, periph.DMAWrite, cores, opt) },
+		func() { res.Redis = RunAppColocation(RedisRead, periph.DMAWrite, fig1Cores, opt) },
+		func() { res.GAPBS = RunAppColocation(GAPBSPR, periph.DMAWrite, fig1Cores, opt) },
 	)
 	return res
 }
+
+var fig1Cores = []int{2, 4, 8, 16, 24, 28}
+
+// fig1Tasks mirrors RunFig1: two app sweeps fanned out in parallel.
+func fig1Tasks(Spec) int { return 2 + 2*sweepTasks(len(fig1Cores)) }
 
 // Fig2Result pairs DDIO-on and DDIO-off sweeps (Fig 2 a-d, Cascade Lake).
 type Fig2Result struct {
@@ -164,21 +162,34 @@ type Fig2Result struct {
 // the P2M-Write FIO workload (2 cores dedicated to FIO). The preset and the
 // DDIO pairing are fixed by the figure; everything else comes from opt.
 func RunFig2(opt Options) Fig2Result {
+	var r Fig2Result
+	r.RedisOn, r.RedisOff, r.GAPBSOn, r.GAPBSOff = ddioGrid(RedisRead, GAPBSPR, periph.DMAWrite, fig2Cores, opt)
+	return r
+}
+
+var fig2Cores = []int{1, 2, 3, 4, 5, 6}
+
+func fig2Tasks(Spec) int { return ddioGridTasks(fig2Cores) }
+
+// ddioGrid runs two apps against one FIO direction with DDIO on and off on
+// Cascade Lake (Fig 2, Appendix B): four app sweeps fanned out in parallel.
+func ddioGrid(redis, gapbs App, dir periph.Direction, cores []int, opt Options) (redisOn, redisOff, gapbsOn, gapbsOff []AppPoint) {
 	on := opt
 	on.Preset = host.CascadeLake
 	on.DDIO = true
 	off := on
 	off.DDIO = false
-	cores := []int{1, 2, 3, 4, 5, 6}
-	var res Fig2Result
 	pdo(on,
-		func() { res.RedisOn = RunAppColocation(RedisRead, periph.DMAWrite, cores, on) },
-		func() { res.RedisOff = RunAppColocation(RedisRead, periph.DMAWrite, cores, off) },
-		func() { res.GAPBSOn = RunAppColocation(GAPBSPR, periph.DMAWrite, cores, on) },
-		func() { res.GAPBSOff = RunAppColocation(GAPBSPR, periph.DMAWrite, cores, off) },
+		func() { redisOn = RunAppColocation(redis, dir, cores, on) },
+		func() { redisOff = RunAppColocation(redis, dir, cores, off) },
+		func() { gapbsOn = RunAppColocation(gapbs, dir, cores, on) },
+		func() { gapbsOff = RunAppColocation(gapbs, dir, cores, off) },
 	)
-	return res
+	return redisOn, redisOff, gapbsOn, gapbsOff
 }
+
+// ddioGridTasks mirrors ddioGrid.
+func ddioGridTasks(cores []int) int { return 4 + 4*sweepTasks(len(cores)) }
 
 // AppGridResult is one Appendix B figure: two apps x DDIO on/off against a
 // fixed P2M direction.
@@ -189,21 +200,14 @@ type AppGridResult struct {
 }
 
 func runAppGrid(fig string, redis, gapbs App, dir periph.Direction, opt Options) AppGridResult {
-	on := opt
-	on.Preset = host.CascadeLake
-	on.DDIO = true
-	off := on
-	off.DDIO = false
-	cores := []int{1, 2, 4, 6}
-	res := AppGridResult{Fig: fig}
-	pdo(on,
-		func() { res.RedisOn = RunAppColocation(redis, dir, cores, on) },
-		func() { res.RedisOff = RunAppColocation(redis, dir, cores, off) },
-		func() { res.GAPBSOn = RunAppColocation(gapbs, dir, cores, on) },
-		func() { res.GAPBSOff = RunAppColocation(gapbs, dir, cores, off) },
-	)
-	return res
+	r := AppGridResult{Fig: fig}
+	r.RedisOn, r.RedisOff, r.GAPBSOn, r.GAPBSOff = ddioGrid(redis, gapbs, dir, appGridCores, opt)
+	return r
 }
+
+var appGridCores = []int{1, 2, 4, 6}
+
+func appGridTasks(Spec) int { return ddioGridTasks(appGridCores) }
 
 // RunFig15 reproduces Appendix B Fig 15: Redis-Write and GAPBS-BC colocated
 // with P2M-Write.

@@ -123,7 +123,7 @@ func ckptScenarios() []ckptScenario {
 			cfg := opt.Preset()
 			cfg.Core.Prefetch = cpu.DefaultPrefetcher()
 			cfg.Audit = opt.auditConfig()
-			h := hostFromConfig(cfg)
+			h := host.New(cfg)
 			for i := 0; i < 2; i++ {
 				h.AddCore(workload.NewSeqRead(h.Region(1<<30), 1<<30))
 			}
@@ -357,7 +357,7 @@ func TestCheckpointMidWindowRestore(t *testing.T) {
 			cfg := pfOpt.Preset()
 			cfg.Core.Prefetch = cpu.DefaultPrefetcher()
 			cfg.Audit = pfOpt.auditConfig()
-			h := hostFromConfig(cfg)
+			h := host.New(cfg)
 			h.AddCore(workload.NewSeqRead(h.Region(1<<30), 1<<30))
 			h.AddStorage(periph.BulkConfig(periph.DMAWrite, h.Region(1<<30)))
 			return h

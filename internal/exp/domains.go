@@ -3,7 +3,6 @@ package exp
 import (
 	"repro/internal/core"
 	"repro/internal/periph"
-	"repro/internal/workload"
 )
 
 // DomainEvidencePoint is one core-count sample of the Fig 6 series: the
@@ -54,25 +53,19 @@ func RunFig6(opt Options) DomainEvidence {
 		p.Cores = n
 
 		// (a) C2M-Read sweep.
-		h := opt.newHost()
-		addC2MCores(h, Q1, n)
-		h.Run(opt.Warmup, opt.Window)
-		m := snapshot(h)
+		m := quadrantRun(opt, Q1, n, false)
 		p.ReadLFBLat = m.C2MReadLat
 		p.ReadCHADram = m.CHAReadLatC2M
 		p.ReadLFBOccMax = m.LFBOccMax
 
 		// (b) C2M-ReadWrite sweep.
-		h = opt.newHost()
-		addC2MCores(h, Q3, n)
-		h.Run(opt.Warmup, opt.Window)
-		m = snapshot(h)
+		m = quadrantRun(opt, Q3, n, false)
 		p.RWLFBLat = m.C2MLat
 		p.RWCHAMCWr = m.CHAWriteLatC2M
 		p.RWWriteLat = m.C2MWriteLat
 
 		// (c, d) low-load P2M-Write probe + C2M-ReadWrite.
-		h = opt.newHost()
+		h := opt.newHost()
 		addC2MCores(h, Q3, n)
 		h.AddStorage(periph.ProbeConfig(periph.DMAWrite, h.Region(1<<30)))
 		h.Run(opt.Warmup, opt.Window)
@@ -92,22 +85,11 @@ func RunFig6(opt Options) DomainEvidence {
 	}
 
 	// Credit saturation probes: bulk P2M under maximal C2M pressure.
-	h := opt.newHost()
-	addC2MCores(h, Q3, 6)
-	h.AddStorage(periph.BulkConfig(periph.DMAWrite, h.Region(1<<30)))
-	h.Run(opt.Warmup, opt.Window)
-	ev.IIOWriteCredits = snapshot(h).IIOWriteOccMax
-
-	h = opt.newHost()
-	addC2MCores(h, Q2, 6)
-	h.AddStorage(periph.BulkConfig(periph.DMARead, h.Region(1<<30)))
-	h.Run(opt.Warmup, opt.Window)
-	ev.IIOReadCredits = snapshot(h).P2MReadsInflightMax
+	ev.IIOWriteCredits = quadrantRun(opt, Q3, 6, true).IIOWriteOccMax
+	ev.IIOReadCredits = quadrantRun(opt, Q2, 6, true).P2MReadsInflightMax
 	return ev
 }
 
 // Domains reports the static §4.1/§4.2 characterization used by the library
 // and checked against measurement by RunFig6.
 func Domains() [4]core.Domain { return core.CascadeLakeDomains() }
-
-var _ = workload.SeqRead{} // workload generators are attached via quadrant helpers

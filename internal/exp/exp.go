@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/host"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Options configure an experiment run.
@@ -93,13 +92,6 @@ func (o Options) newHost() *host.Host {
 	cfg.Faults = o.Faults
 	return host.New(cfg)
 }
-
-// hostFromConfig builds a host from an explicit (already adjusted) config.
-func hostFromConfig(cfg host.Config) *host.Host { return host.New(cfg) }
-
-// iceLakePreset adapts the Ice Lake config for quadrant experiments (DDIO
-// is overridden by Options as usual).
-func iceLakePreset() host.Config { return host.IceLake() }
 
 // Measure is a full probe snapshot of one run's measurement window.
 type Measure struct {
@@ -213,5 +205,3 @@ func degradation(iso, co float64) float64 {
 	}
 	return iso / co
 }
-
-var _ = telemetry.Samples{} // telemetry types appear via host probes

@@ -50,3 +50,7 @@ func RunFaultSweep(q Quadrant, coreCounts []int, sched fault.Schedule, opt Optio
 	}
 	return out
 }
+
+// faultSweepTasks mirrors RunFaultSweep: two RDMA quadrant sweeps fanned
+// out in parallel.
+func faultSweepTasks(n Spec) int { return 2 + 2*quadrantTasks(n) }

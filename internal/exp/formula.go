@@ -105,18 +105,11 @@ func capAt(est, cap float64) float64 {
 // points grouped per quadrant. The same points carry the Fig 12 breakdowns.
 // The four quadrant sweeps run in parallel.
 func RunFig11(opt Options) map[Quadrant][]FormulaPoint {
-	quads := []Quadrant{Q1, Q2, Q3, Q4}
-	series := pmap(opt, len(quads), func(i int) []FormulaPoint {
-		pts := RunQuadrant(quads[i], DefaultCoreSweep(), opt)
-		fps := make([]FormulaPoint, 0, len(pts))
-		for _, p := range pts {
+	return perQuadrant(opt, func(q Quadrant) []FormulaPoint {
+		var fps []FormulaPoint
+		for _, p := range RunQuadrant(q, DefaultCoreSweep(), opt) {
 			fps = append(fps, ValidateFormula(p, opt))
 		}
 		return fps
 	})
-	out := make(map[Quadrant][]FormulaPoint, len(quads))
-	for i, q := range quads {
-		out[q] = series[i]
-	}
-	return out
 }

@@ -3,11 +3,7 @@ package exp
 import (
 	"repro/internal/host"
 	"repro/internal/hostcc"
-	"repro/internal/periph"
 )
-
-// hostConfig aliases host.Config for preset mutation.
-type hostConfig = host.Config
 
 // HostCCStudy compares a red-regime colocation with and without the hostCC-
 // style controller — the §7 future-work direction made concrete.
@@ -38,22 +34,7 @@ func (s HostCCStudy) C2MDegrOn() float64  { return degradation(s.C2MIso, s.C2MOn
 // uncontrolled, and colocated with the controller managing the C2M cores.
 func RunHostCCStudy(q Quadrant, cores int, cfg hostcc.Config, opt Options) HostCCStudy {
 	s := HostCCStudy{Quadrant: q, Cores: cores}
-
-	iso := opt.newHost()
-	addC2MCores(iso, q, cores)
-	iso.Run(opt.Warmup, opt.Window)
-	s.C2MIso = iso.C2MBW()
-
-	p2m := opt.newHost()
-	addP2MDevice(p2m, q)
-	p2m.Run(opt.Warmup, opt.Window)
-	s.P2MIso = p2m.P2MBW()
-
-	off := opt.newHost()
-	addC2MCores(off, q, cores)
-	addP2MDevice(off, q)
-	off.Run(opt.Warmup, opt.Window)
-	s.C2MOff, s.P2MOff = off.C2MBW(), off.P2MBW()
+	s.C2MIso, s.P2MIso, s.C2MOff, s.P2MOff = uncontrolled(q, cores, opt)
 
 	on := opt.newHost()
 	addC2MCores(on, q, cores)
@@ -68,7 +49,13 @@ func RunHostCCStudy(q Quadrant, cores int, cfg hostcc.Config, opt Options) HostC
 	return s
 }
 
-var _ = periph.DMAWrite // quadrant helpers pick the device direction
+// uncontrolled runs one quadrant point's isolated baselines and its
+// unmitigated colocation, the reference both mitigation studies compare
+// against.
+func uncontrolled(q Quadrant, cores int, opt Options) (c2mIso, p2mIso, c2mOff, p2mOff float64) {
+	iso, p2m, off := quadrantRun(opt, q, cores, false), quadrantRun(opt, q, 0, true), quadrantRun(opt, q, cores, true)
+	return iso.C2MBW, p2m.P2MBW, off.C2MBW, off.P2MBW
+}
 
 // MCIsolationStudy compares the red regime with and without WPQ slot
 // reservation for P2M writes — the §7 "memory controller scheduling"
@@ -90,26 +77,11 @@ func (s MCIsolationStudy) C2MDegrOn() float64  { return degradation(s.C2MIso, s.
 // set aside for P2M writes.
 func RunMCIsolationStudy(cores, reserve int, opt Options) MCIsolationStudy {
 	s := MCIsolationStudy{Cores: cores}
-
-	iso := opt.newHost()
-	addC2MCores(iso, Q3, cores)
-	iso.Run(opt.Warmup, opt.Window)
-	s.C2MIso = iso.C2MBW()
-
-	p2m := opt.newHost()
-	addP2MDevice(p2m, Q3)
-	p2m.Run(opt.Warmup, opt.Window)
-	s.P2MIso = p2m.P2MBW()
-
-	off := opt.newHost()
-	addC2MCores(off, Q3, cores)
-	addP2MDevice(off, Q3)
-	off.Run(opt.Warmup, opt.Window)
-	s.C2MOff, s.P2MOff = off.C2MBW(), off.P2MBW()
+	s.C2MIso, s.P2MIso, s.C2MOff, s.P2MOff = uncontrolled(Q3, cores, opt)
 
 	resOpt := opt
 	base := opt.Preset
-	resOpt.Preset = func() hostConfig {
+	resOpt.Preset = func() host.Config {
 		cfg := base()
 		cfg.MC.WPQReserveP2M = reserve
 		return cfg

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/host"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // FlowSpec is one entry of a fabric flow matrix: a unidirectional stream
@@ -263,10 +262,7 @@ func runIncastPoint(fs FabricSpec, senders, recvCores int, sched fault.Schedule,
 	// into the red regime (§2.2): with enough cores the WPQ backpressure
 	// chain degrades P2M writes below wire rate, and the receiver — not the
 	// ToR — becomes the incast bottleneck.
-	for i := 0; i < recvCores; i++ {
-		base := hosts[0].Region(1 << 30)
-		hosts[0].AddCore(workload.NewSeqReadWrite(base, 1<<30))
-	}
+	addC2MCores(hosts[0], Q3, recvCores)
 	f.Run(opt.Warmup, opt.Window)
 	p := IncastPoint{
 		Senders:     senders,
@@ -295,25 +291,27 @@ func RunIncast(fab FabricSpec, recvCores int, sched fault.Schedule, opt Options)
 	sched = sched.Normalized()
 	degrees := fab.degrees()
 	out := &IncastSweep{Hosts: fab.Hosts, RecvCores: recvCores, FaultHost: fab.FaultHost, Schedule: sched}
-	if len(sched) == 0 {
-		out.Healthy = pmap(opt, len(degrees), func(i int) IncastPoint {
-			return runIncastPoint(fab, degrees[i], recvCores, nil, opt)
+	run := func(sched fault.Schedule) []IncastPoint {
+		return pmap(opt, len(degrees), func(i int) IncastPoint {
+			return runIncastPoint(fab, degrees[i], recvCores, sched, opt)
 		})
+	}
+	if len(sched) == 0 {
+		out.Healthy = run(nil)
 		return out
 	}
-	pdo(opt,
-		func() {
-			out.Healthy = pmap(opt, len(degrees), func(i int) IncastPoint {
-				return runIncastPoint(fab, degrees[i], recvCores, nil, opt)
-			})
-		},
-		func() {
-			out.Faulted = pmap(opt, len(degrees), func(i int) IncastPoint {
-				return runIncastPoint(fab, degrees[i], recvCores, sched, opt)
-			})
-		},
-	)
+	pdo(opt, func() { out.Healthy = run(nil) }, func() { out.Faulted = run(sched) })
 	return out
+}
+
+// incastTasks mirrors RunIncast: one task per degree, or, with faults, the
+// healthy and faulted sweeps fanned out in parallel.
+func incastTasks(n Spec) int {
+	d := len(n.Fabric.degrees())
+	if len(n.Faults) == 0 {
+		return d
+	}
+	return 2 + 2*d
 }
 
 // incastTable renders one side of the sweep.

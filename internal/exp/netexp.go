@@ -4,7 +4,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // addRDMADevice attaches the quadrant's RDMA load to the host and returns
@@ -37,11 +36,9 @@ type RDMAQuadrantPoint struct {
 // (Fig 18, with the probes of Figs 20-22/24 in the Measure snapshots). The
 // NIC-only baseline and the per-count points run on the options' pool.
 func RunRDMAQuadrant(q Quadrant, coreCounts []int, opt Options) []RDMAQuadrantPoint {
-	// NIC-only baseline.
 	var p2mIso Measure
-	pts := make([]RDMAQuadrantPoint, len(coreCounts))
-	tasks := make([]func(), 0, len(coreCounts)+1)
-	tasks = append(tasks, func() {
+	pts := sweep(opt, coreCounts, func() {
+		// NIC-only baseline.
 		p2m := opt.newHost()
 		nicBW, _, nicReset := addRDMADevice(p2m, q)
 		p2m.Eng.RunUntil(opt.Warmup)
@@ -50,41 +47,33 @@ func RunRDMAQuadrant(q Quadrant, coreCounts []int, opt Options) []RDMAQuadrantPo
 		p2m.Eng.RunUntil(opt.Warmup + opt.Window)
 		p2mIso = snapshot(p2m)
 		p2mIso.P2MBW = nicBW()
-	})
-	for idx, n := range coreCounts {
-		tasks = append(tasks, func() {
-			var p RDMAQuadrantPoint
-			p.Quadrant, p.Cores = q, n
+	}, func(_, n int) RDMAQuadrantPoint {
+		var p RDMAQuadrantPoint
+		p.Quadrant, p.Cores = q, n
+		p.C2MIso = quadrantRun(opt, q, n, false)
 
-			iso := opt.newHost()
-			addC2MCores(iso, q, n)
-			iso.Run(opt.Warmup, opt.Window)
-			p.C2MIso = snapshot(iso)
-
-			co := opt.newHost()
-			addC2MCores(co, q, n)
-			coBW, coPause, coReset := addRDMADevice(co, q)
-			co.Eng.RunUntil(opt.Warmup)
-			co.ResetStats()
-			coReset()
-			// Microsecond-scale IIO occupancy sampling (Fig 23).
-			stop := co.Eng.Now() + opt.Window
-			var sample func()
-			sample = func() {
-				p.IIOOccSamples = append(p.IIOOccSamples, co.IIO.Stats().WriteOcc.Level())
-				if co.Eng.Now()+sim.Microsecond <= stop {
-					co.Eng.After(sim.Microsecond, sample)
-				}
+		co := opt.newHost()
+		addC2MCores(co, q, n)
+		coBW, coPause, coReset := addRDMADevice(co, q)
+		co.Eng.RunUntil(opt.Warmup)
+		co.ResetStats()
+		coReset()
+		// Microsecond-scale IIO occupancy sampling (Fig 23).
+		stop := co.Eng.Now() + opt.Window
+		var sample func()
+		sample = func() {
+			p.IIOOccSamples = append(p.IIOOccSamples, co.IIO.Stats().WriteOcc.Level())
+			if co.Eng.Now()+sim.Microsecond <= stop {
+				co.Eng.After(sim.Microsecond, sample)
 			}
-			co.Eng.After(sim.Microsecond, sample)
-			co.Eng.RunUntil(stop)
-			p.Co = snapshot(co)
-			p.Co.P2MBW = coBW()
-			p.PauseFrac = coPause()
-			pts[idx] = p
-		})
-	}
-	pdo(opt, tasks...)
+		}
+		co.Eng.After(sim.Microsecond, sample)
+		co.Eng.RunUntil(stop)
+		p.Co = snapshot(co)
+		p.Co.P2MBW = coBW()
+		p.PauseFrac = coPause()
+		return p
+	})
 	for i := range pts {
 		pts[i].P2MIso = p2mIso
 	}
@@ -93,15 +82,7 @@ func RunRDMAQuadrant(q Quadrant, coreCounts []int, opt Options) []RDMAQuadrantPo
 
 // RunFig18 runs all four RDMA quadrants in parallel.
 func RunFig18(opt Options) map[Quadrant][]RDMAQuadrantPoint {
-	quads := []Quadrant{Q1, Q2, Q3, Q4}
-	series := pmap(opt, len(quads), func(i int) []RDMAQuadrantPoint {
-		return RunRDMAQuadrant(quads[i], DefaultCoreSweep(), opt)
-	})
-	out := make(map[Quadrant][]RDMAQuadrantPoint, len(quads))
-	for i, q := range quads {
-		out[q] = series[i]
-	}
-	return out
+	return perQuadrant(opt, func(q Quadrant) []RDMAQuadrantPoint { return RunRDMAQuadrant(q, DefaultCoreSweep(), opt) })
 }
 
 // DCTCPPoint is one data point of the TCP case study (Fig 19/25/26).
@@ -145,16 +126,17 @@ func dctcpHost(opt Options, memCores int, readWrite bool) (*host.Host, *netsim.D
 		c := h.AddCore(rx.Copier(i))
 		rx.AttachCopier(i, c)
 	}
-	for i := 0; i < memCores; i++ {
-		base := h.Region(1 << 30)
-		if readWrite {
-			h.AddCore(workload.NewSeqReadWrite(base, 1<<30))
-		} else {
-			h.AddCore(workload.NewSeqRead(base, 1<<30))
-		}
-	}
+	addC2MCores(h, memQuadrant(readWrite), memCores)
 	rx.Start(0)
 	return h, rx
+}
+
+// memQuadrant is a quadrant whose compute workload is the memory app's.
+func memQuadrant(readWrite bool) Quadrant {
+	if readWrite {
+		return Q3
+	}
+	return Q1
 }
 
 // memAppBW sums bandwidth over the memory-app cores (indices >= flows).
@@ -171,11 +153,9 @@ func memAppBW(h *host.Host, flows int) float64 {
 // RunDCTCP sweeps memory-app core counts against the 4-flow DCTCP receiver
 // (Fig 19; probes for Figs 25/26 ride along in Co).
 func RunDCTCP(readWrite bool, coreCounts []int, opt Options) []DCTCPPoint {
-	// Network-only baseline.
 	var netIso, netIsoP2MLat float64
-	pts := make([]DCTCPPoint, len(coreCounts))
-	tasks := make([]func(), 0, len(coreCounts)+1)
-	tasks = append(tasks, func() {
+	pts := sweep(opt, coreCounts, func() {
+		// Network-only baseline.
 		nIso, rxIso := dctcpHost(opt, 0, readWrite)
 		nIso.Eng.RunUntil(opt.Warmup * 4) // DCTCP needs RTTs to converge
 		nIso.ResetStats()
@@ -183,45 +163,30 @@ func RunDCTCP(readWrite bool, coreCounts []int, opt Options) []DCTCPPoint {
 		nIso.Eng.RunUntil(nIso.Eng.Now() + opt.Window)
 		netIso = rxIso.GoodputBytesPerSec()
 		netIsoP2MLat = snapshot(nIso).P2MWriteLat
+	}, func(_, n int) DCTCPPoint {
+		p := DCTCPPoint{C2MCores: n, ReadWrite: readWrite}
+		p.MemIso = quadrantRun(opt, memQuadrant(readWrite), n, false)
+		p.MemAppIso = p.MemIso.C2MBW
+
+		co, rx := dctcpHost(opt, n, readWrite)
+		co.Eng.RunUntil(opt.Warmup * 4)
+		co.ResetStats()
+		rx.ResetStats()
+		co.Eng.RunUntil(co.Eng.Now() + opt.Window)
+		flows := netsim.DefaultDCTCPConfig(0).Flows
+		p.MemAppCo = memAppBW(co, flows)
+		for i := 0; i < flows && i < len(co.Cores); i++ {
+			st := co.Cores[i].Stats()
+			p.CopierLFBOcc += st.LFBOcc.Avg()
+			p.CopierC2MBW += st.ReadBytesPerSec() + st.WriteBytesPerSec()
+		}
+		p.NetCo = rx.GoodputBytesPerSec()
+		p.P2MCo = rx.P2MBytesPerSec()
+		p.LossRate = rx.LossRate()
+		p.Co = snapshot(co)
+		p.Co.P2MBW = p.P2MCo
+		return p
 	})
-	for idx, n := range coreCounts {
-		tasks = append(tasks, func() {
-			p := DCTCPPoint{C2MCores: n, ReadWrite: readWrite}
-
-			iso := opt.newHost()
-			for i := 0; i < n; i++ {
-				base := iso.Region(1 << 30)
-				if readWrite {
-					iso.AddCore(workload.NewSeqReadWrite(base, 1<<30))
-				} else {
-					iso.AddCore(workload.NewSeqRead(base, 1<<30))
-				}
-			}
-			iso.Run(opt.Warmup, opt.Window)
-			p.MemAppIso = iso.C2MBW()
-			p.MemIso = snapshot(iso)
-
-			co, rx := dctcpHost(opt, n, readWrite)
-			co.Eng.RunUntil(opt.Warmup * 4)
-			co.ResetStats()
-			rx.ResetStats()
-			co.Eng.RunUntil(co.Eng.Now() + opt.Window)
-			flows := netsim.DefaultDCTCPConfig(0).Flows
-			p.MemAppCo = memAppBW(co, flows)
-			for i := 0; i < flows && i < len(co.Cores); i++ {
-				st := co.Cores[i].Stats()
-				p.CopierLFBOcc += st.LFBOcc.Avg()
-				p.CopierC2MBW += st.ReadBytesPerSec() + st.WriteBytesPerSec()
-			}
-			p.NetCo = rx.GoodputBytesPerSec()
-			p.P2MCo = rx.P2MBytesPerSec()
-			p.LossRate = rx.LossRate()
-			p.Co = snapshot(co)
-			p.Co.P2MBW = p.P2MCo
-			pts[idx] = p
-		})
-	}
-	pdo(opt, tasks...)
 	for i := range pts {
 		pts[i].NetIso = netIso
 		pts[i].NetIsoP2MLat = netIsoP2MLat
@@ -229,14 +194,20 @@ func RunDCTCP(readWrite bool, coreCounts []int, opt Options) []DCTCPPoint {
 	return pts
 }
 
+// fig19Cores are the memory-app core counts of the TCP case study (4 cores
+// are dedicated to iperf).
+var fig19Cores = []int{1, 2, 3, 4}
+
 // RunFig19 runs both TCP case studies in parallel: C2M-Read + TCP Rx and
-// C2M-ReadWrite + TCP Rx, sweeping 1-4 memory-app cores (4 cores are
-// dedicated to iperf).
+// C2M-ReadWrite + TCP Rx, sweeping 1-4 memory-app cores.
 func RunFig19(opt Options) (read, readWrite []DCTCPPoint) {
-	cores := []int{1, 2, 3, 4}
 	pdo(opt,
-		func() { read = RunDCTCP(false, cores, opt) },
-		func() { readWrite = RunDCTCP(true, cores, opt) },
+		func() { read = RunDCTCP(false, fig19Cores, opt) },
+		func() { readWrite = RunDCTCP(true, fig19Cores, opt) },
 	)
 	return read, readWrite
 }
+
+// fig19Tasks mirrors RunFig19 (and RunFig29, which runs it): two DCTCP
+// sweeps fanned out in parallel.
+func fig19Tasks(Spec) int { return 2 + 2*sweepTasks(len(fig19Cores)) }

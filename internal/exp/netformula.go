@@ -9,20 +9,13 @@ import (
 // Fig 28 breakdowns inside each point): the same methodology as Fig 11,
 // with NIC-generated P2M traffic. The four quadrant sweeps run in parallel.
 func RunFig27(opt Options) map[Quadrant][]FormulaPoint {
-	quads := []Quadrant{Q1, Q2, Q3, Q4}
-	series := pmap(opt, len(quads), func(i int) []FormulaPoint {
-		pts := RunRDMAQuadrant(quads[i], DefaultCoreSweep(), opt)
-		fps := make([]FormulaPoint, 0, len(pts))
-		for _, p := range pts {
+	return perQuadrant(opt, func(q Quadrant) []FormulaPoint {
+		var fps []FormulaPoint
+		for _, p := range RunRDMAQuadrant(q, DefaultCoreSweep(), opt) {
 			fps = append(fps, ValidateFormula(p.QuadrantPoint, opt))
 		}
 		return fps
 	})
-	out := make(map[Quadrant][]FormulaPoint, len(quads))
-	for i, q := range quads {
-		out[q] = series[i]
-	}
-	return out
 }
 
 // DCTCPFormulaPoint is one Fig 29/30 entry: formula-vs-measured throughput

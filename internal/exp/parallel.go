@@ -49,6 +49,23 @@ func pmap[T any](opt Options, n int, fn func(int) T) []T {
 	return out
 }
 
+// sweep runs a shared baseline task and one task per point on the options'
+// pool — the shape of every baseline-plus-points experiment — and returns
+// the points in order.
+func sweep[X, P any](opt Options, xs []X, baseline func(), point func(i int, x X) P) []P {
+	pts := make([]P, len(xs))
+	tasks := []func(){baseline}
+	for i, x := range xs {
+		tasks = append(tasks, func() { pts[i] = point(i, x) })
+	}
+	pdo(opt, tasks...)
+	return pts
+}
+
+// sweepTasks mirrors sweep's progress calls: the baseline plus one per
+// point.
+func sweepTasks(points int) int { return points + 1 }
+
 // pdo runs a fixed set of heterogeneous tasks (e.g. a baseline run plus the
 // sweep points) on the options' worker pool, with the same panic semantics
 // as pmap.

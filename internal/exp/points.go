@@ -13,11 +13,12 @@ import (
 //
 // Splitting is sound exactly when every sweep point is an independent
 // simulation whose construction does not depend on its position in the
-// sweep. That holds for quadrant, rdma, and faultsweep (points are built
-// from (quadrant, core count) alone — the shared isolated baseline each
-// sub-run recomputes is the very same deterministic simulation, so the
+// sweep. That holds for quadrant, rdma, faultsweep and crossval (points are
+// built from (quadrant, core count) alone — the shared isolated baseline
+// each sub-run recomputes is the very same deterministic simulation, so the
 // recomputed Measure is bit-equal to the shared one) and for incast (each
-// degree is its own rack; FabricSpec.Degree pins a single one). It does NOT
+// degree is its own rack; FabricSpec.Degree pins a single one); their
+// registry entries carry the split and merge funcs. It does NOT
 // hold for ratio: its workload seeds mix in the point's index within the
 // write-fraction sweep (see RunRatioSweep), so a one-point sub-run would
 // seed differently and diverge. Fixed figures (fig1..fig29) and the
@@ -46,38 +47,15 @@ func (s Spec) Points() []Spec {
 		// across a fleet costs more than answering it.
 		return nil
 	}
-	switch n.Experiment {
-	case "quadrant", "rdma", "faultsweep", "crossval":
-		if len(n.Cores) < 2 {
-			return nil
-		}
-		out := make([]Spec, len(n.Cores))
-		for i, c := range n.Cores {
-			sub := n
-			sub.Cores = []int{c}
-			out[i] = sub.Normalized()
-		}
-		return out
-	case "incast":
-		if n.Fabric == nil || n.Fabric.Degree > 0 {
-			return nil // already a sub-spec
-		}
-		degs := n.Fabric.degrees()
-		if len(degs) < 2 {
-			return nil
-		}
-		out := make([]Spec, len(degs))
-		for i, d := range degs {
-			sub := n
-			fab := *n.Fabric
-			fab.Incast = 0
-			fab.Degree = d
-			sub.Fabric = &fab
-			out[i] = sub.Normalized()
-		}
-		return out
+	e := registry[n.Experiment]
+	if e.split == nil {
+		return nil
 	}
-	return nil
+	subs := e.split(n)
+	for i := range subs {
+		subs[i] = subs[i].Normalized()
+	}
+	return subs
 }
 
 // resultEnvelope is the decoded form of one RunSpecJSON output: the
@@ -125,100 +103,25 @@ func MergePointResults(s Spec, parts [][]byte) ([]byte, error) {
 		payloads[i] = env.Result
 	}
 
-	var merged any
-	var err error
-	switch n.Experiment {
-	case "quadrant":
-		merged, err = mergeSlices[QuadrantPoint](payloads)
-	case "rdma":
-		merged, err = mergeSlices[RDMAQuadrantPoint](payloads)
-	case "faultsweep":
-		merged, err = mergeFaultSweep(payloads)
-	case "incast":
-		merged, err = mergeIncast(payloads)
-	case "crossval":
-		merged, err = mergeCrossval(payloads)
-	default:
-		err = fmt.Errorf("merge: experiment %q splits but has no merger", n.Experiment)
+	// Part 0 is the head: it carries every field common to the sweep, and
+	// each later part contributes its points.
+	e := registry[n.Experiment]
+	head := e.result()
+	for i, raw := range payloads {
+		part := head
+		if i > 0 {
+			part = e.result()
+		}
+		if err := json.Unmarshal(raw, part); err != nil {
+			return nil, fmt.Errorf("merge: decoding point %d payload: %w", i, err)
+		}
+		if i > 0 {
+			e.merge(head, part)
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(Result{Spec: n, Result: merged})
+	b, err := json.Marshal(Result{Spec: n, Result: head})
 	if err != nil {
 		return nil, fmt.Errorf("merge: encoding %s result: %w", n.Experiment, err)
 	}
 	return b, nil
-}
-
-// mergeSlices concatenates per-point slice payloads ([]QuadrantPoint,
-// []RDMAQuadrantPoint) in point order.
-func mergeSlices[T any](payloads []json.RawMessage) ([]T, error) {
-	out := make([]T, 0, len(payloads))
-	for i, raw := range payloads {
-		var pts []T
-		if err := json.Unmarshal(raw, &pts); err != nil {
-			return nil, fmt.Errorf("merge: decoding point %d payload: %w", i, err)
-		}
-		out = append(out, pts...)
-	}
-	return out, nil
-}
-
-// mergeFaultSweep zips per-core FaultSweep fragments back into one sweep;
-// the quadrant and schedule are common to every fragment.
-func mergeFaultSweep(payloads []json.RawMessage) (*FaultSweep, error) {
-	var out *FaultSweep
-	for i, raw := range payloads {
-		var fs FaultSweep
-		if err := json.Unmarshal(raw, &fs); err != nil {
-			return nil, fmt.Errorf("merge: decoding point %d payload: %w", i, err)
-		}
-		if out == nil {
-			head := fs
-			head.Points = nil
-			out = &head
-		}
-		out.Points = append(out.Points, fs.Points...)
-	}
-	return out, nil
-}
-
-// mergeCrossval zips per-core CrossvalResult fragments back into one
-// sweep; the quadrant is common to every fragment.
-func mergeCrossval(payloads []json.RawMessage) (*CrossvalResult, error) {
-	var out *CrossvalResult
-	for i, raw := range payloads {
-		var cv CrossvalResult
-		if err := json.Unmarshal(raw, &cv); err != nil {
-			return nil, fmt.Errorf("merge: decoding point %d payload: %w", i, err)
-		}
-		if out == nil {
-			head := cv
-			head.Points = nil
-			out = &head
-		}
-		out.Points = append(out.Points, cv.Points...)
-	}
-	return out, nil
-}
-
-// mergeIncast concatenates per-degree IncastSweep fragments (healthy and,
-// when present, faulted twins) in degree order.
-func mergeIncast(payloads []json.RawMessage) (*IncastSweep, error) {
-	var out *IncastSweep
-	for i, raw := range payloads {
-		var is IncastSweep
-		if err := json.Unmarshal(raw, &is); err != nil {
-			return nil, fmt.Errorf("merge: decoding point %d payload: %w", i, err)
-		}
-		if out == nil {
-			head := is
-			head.Healthy, head.Faulted = nil, nil
-			out = &head
-		}
-		out.Healthy = append(out.Healthy, is.Healthy...)
-		out.Faulted = append(out.Faulted, is.Faulted...)
-	}
-	return out, nil
 }

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // TestPointsShape pins which specs split and into what.
@@ -104,14 +106,23 @@ func TestPointsHashStability(t *testing.T) {
 // sub-spec independently and merging reproduces the single-node RunSpecJSON
 // bytes exactly, for every splittable experiment.
 func TestPointsMergeByteIdentical(t *testing.T) {
-	specs := []Spec{
-		{Experiment: "quadrant", Quadrant: 2, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 2000},
-		{Experiment: "rdma", Quadrant: 1, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 2000},
-		{Experiment: "faultsweep", Quadrant: 3, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 3000},
-		{Experiment: "incast", Cores: []int{2}, Fabric: &FabricSpec{Hosts: 3}, WarmupNs: 1000, WindowNs: 2000},
-	}
-	for _, spec := range specs {
-		t.Run(spec.Experiment, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"quadrant", Spec{Experiment: "quadrant", Quadrant: 2, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 2000}},
+		{"rdma", Spec{Experiment: "rdma", Quadrant: 1, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 2000}},
+		{"faultsweep", Spec{Experiment: "faultsweep", Quadrant: 3, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 3000}},
+		{"incast", Spec{Experiment: "incast", Cores: []int{2}, Fabric: &FabricSpec{Hosts: 3}, WarmupNs: 1000, WindowNs: 2000}},
+		// The faulted twins and the partitioned rack merge through the same
+		// per-degree path.
+		{"incast-faulted", Spec{Experiment: "incast", Cores: []int{2}, Fabric: &FabricSpec{Hosts: 3}, WarmupNs: 1000, WindowNs: 2000,
+			Faults: []fault.Window{{Kind: fault.PauseStorm, StartNs: 1500, DurationNs: 500}}}},
+		{"incast-partitioned", Spec{Experiment: "incast", Cores: []int{2}, Fabric: &FabricSpec{Hosts: 3, Partitioned: true}, WarmupNs: 1000, WindowNs: 2000}},
+		{"crossval", Spec{Experiment: "crossval", Quadrant: 3, Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 2000}},
+	} {
+		spec := c.spec
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			opt := Defaults()
 			single, err := RunSpecJSON(spec, opt)

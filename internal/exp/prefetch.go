@@ -2,8 +2,7 @@ package exp
 
 import (
 	"repro/internal/cpu"
-	"repro/internal/periph"
-	"repro/internal/workload"
+	"repro/internal/host"
 )
 
 // PrefetchStudy reproduces the paper's prefetching claim (§2.2): when memory
@@ -32,12 +31,10 @@ func RunPrefetchStudy(cores int, opt Options) PrefetchStudy {
 		cfg.DDIO.Enabled = opt.DDIO
 		cfg.Core.Prefetch = pf
 		cfg.Audit = opt.auditConfig()
-		h := hostFromConfig(cfg)
-		for i := 0; i < cores; i++ {
-			h.AddCore(workload.NewSeqRead(h.Region(1<<30), 1<<30))
-		}
+		h := host.New(cfg)
+		addC2MCores(h, Q1, cores)
 		if colocated {
-			h.AddStorage(periph.BulkConfig(periph.DMAWrite, h.Region(1<<30)))
+			addP2MDevice(h, Q1)
 		}
 		h.Run(opt.Warmup, opt.Window)
 		return h.C2MBW()

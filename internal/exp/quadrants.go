@@ -69,45 +69,40 @@ func addP2MDevice(h *host.Host, q Quadrant) {
 // share every C2M-Read isolated baseline, Q3/Q4 every C2M-ReadWrite one,
 // and quadrant pairs share the two device baselines — so RunFig3 runs each
 // unique key once and reuses the measured result, cutting the 4x13 logical
-// runs to 38 simulations without changing a byte of output.
+// runs to 38 simulations without changing a byte of output. Keys name the
+// first quadrant (Q1, then Q2/Q3) whose workloads the run uses.
 type runKey struct {
-	cores     int  // number of C2M cores (0 = device-only baseline)
-	c2mWrites bool // C2M cores run SeqReadWrite instead of SeqRead
-	hasP2M    bool // a bulk FIO device is attached
-	p2mWrites bool // the device DMA-writes instead of DMA-reads
+	q      Quadrant
+	cores  int  // C2M cores (0 = device-only baseline)
+	device bool // the quadrant's bulk FIO device is attached
 }
 
 func isoRunKey(q Quadrant, cores int) runKey {
-	return runKey{cores: cores, c2mWrites: q.C2MWrites()}
+	if q.C2MWrites() {
+		return runKey{Q3, cores, false}
+	}
+	return runKey{Q1, cores, false}
 }
 
 func p2mRunKey(q Quadrant) runKey {
-	return runKey{hasP2M: true, p2mWrites: q.P2MWrites()}
+	if q.P2MWrites() {
+		return runKey{Q1, 0, true}
+	}
+	return runKey{Q2, 0, true}
 }
 
-func coRunKey(q Quadrant, cores int) runKey {
-	return runKey{cores: cores, c2mWrites: q.C2MWrites(), hasP2M: true, p2mWrites: q.P2MWrites()}
-}
+func coRunKey(q Quadrant, cores int) runKey { return runKey{q, cores, true} }
 
 // run executes the keyed simulation from scratch and measures its window.
-func (k runKey) run(opt Options) Measure {
+func (k runKey) run(opt Options) Measure { return quadrantRun(opt, k.q, k.cores, k.device) }
+
+// quadrantRun measures one host running the quadrant's compute workload on
+// cores C2M cores and, with device set, its bulk FIO device.
+func quadrantRun(opt Options, q Quadrant, cores int, device bool) Measure {
 	h := opt.newHost()
-	for i := 0; i < k.cores; i++ {
-		base := h.Region(1 << 30)
-		var gen cpu.Generator
-		if k.c2mWrites {
-			gen = workload.NewSeqReadWrite(base, 1<<30)
-		} else {
-			gen = workload.NewSeqRead(base, 1<<30)
-		}
-		h.AddCore(gen)
-	}
-	if k.hasP2M {
-		dir := periph.DMARead
-		if k.p2mWrites {
-			dir = periph.DMAWrite
-		}
-		h.AddStorage(periph.BulkConfig(dir, h.Region(1<<30)))
+	addC2MCores(h, q, cores)
+	if device {
+		addP2MDevice(h, q)
 	}
 	h.Run(opt.Warmup, opt.Window)
 	return snapshot(h)
@@ -137,24 +132,10 @@ func (p QuadrantPoint) Regime() core.Regime {
 
 // RunQuadrantPoint measures one data point (three runs).
 func RunQuadrantPoint(q Quadrant, cores int, opt Options) QuadrantPoint {
-	p := QuadrantPoint{Quadrant: q, Cores: cores}
-
-	iso := opt.newHost()
-	addC2MCores(iso, q, cores)
-	iso.Run(opt.Warmup, opt.Window)
-	p.C2MIso = snapshot(iso)
-
-	p2m := opt.newHost()
-	addP2MDevice(p2m, q)
-	p2m.Run(opt.Warmup, opt.Window)
-	p.P2MIso = snapshot(p2m)
-
-	co := opt.newHost()
-	addC2MCores(co, q, cores)
-	addP2MDevice(co, q)
-	co.Run(opt.Warmup, opt.Window)
-	p.Co = snapshot(co)
-	return p
+	return QuadrantPoint{Quadrant: q, Cores: cores,
+		C2MIso: quadrantRun(opt, q, cores, false),
+		P2MIso: quadrantRun(opt, q, 0, true),
+		Co:     quadrantRun(opt, q, cores, true)}
 }
 
 // RunQuadrant sweeps C2M core counts for one quadrant — the Fig 3 series,
@@ -164,49 +145,43 @@ func RunQuadrantPoint(q Quadrant, cores int, opt Options) QuadrantPoint {
 func RunQuadrant(q Quadrant, coreCounts []int, opt Options) []QuadrantPoint {
 	// The P2M isolated baseline is independent of the C2M core count.
 	var p2mIso Measure
-	pts := make([]QuadrantPoint, len(coreCounts))
-	tasks := make([]func(), 0, len(coreCounts)+1)
-	tasks = append(tasks, func() {
-		p2m := opt.newHost()
-		addP2MDevice(p2m, q)
-		p2m.Run(opt.Warmup, opt.Window)
-		p2mIso = snapshot(p2m)
-	})
-	for idx, n := range coreCounts {
-		tasks = append(tasks, func() {
-			p := QuadrantPoint{Quadrant: q, Cores: n}
-			iso := opt.newHost()
-			addC2MCores(iso, q, n)
-			iso.Run(opt.Warmup, opt.Window)
-			p.C2MIso = snapshot(iso)
-
-			co := opt.newHost()
-			addC2MCores(co, q, n)
-			addP2MDevice(co, q)
-			co.Run(opt.Warmup, opt.Window)
-			p.Co = snapshot(co)
-			pts[idx] = p
+	pts := sweep(opt, coreCounts, func() { p2mIso = quadrantRun(opt, q, 0, true) },
+		func(_, n int) QuadrantPoint {
+			return QuadrantPoint{Quadrant: q, Cores: n,
+				C2MIso: quadrantRun(opt, q, n, false), Co: quadrantRun(opt, q, n, true)}
 		})
-	}
-	pdo(opt, tasks...)
 	for i := range pts {
 		pts[i].P2MIso = p2mIso
 	}
 	return pts
 }
 
+// quadrantTasks mirrors RunQuadrant and RunRDMAQuadrant over n's cores.
+func quadrantTasks(n Spec) int { return sweepTasks(len(n.Cores)) }
+
 // DefaultCoreSweep matches the paper's Cascade Lake sweep: the C2M app gets
 // the cores not dedicated to the P2M app.
 func DefaultCoreSweep() []int { return []int{1, 2, 3, 4, 5, 6} }
 
-// RunFig3 runs all four quadrants (Fig 3). The quadrants' runs are deduped
-// by runKey — each unique simulation runs once on the options' worker pool
-// and every point that needs it shares the measured result — which is
-// byte-identical to running all 52 (pinned by TestRunFig3MatchesQuadrants)
-// and about 27% cheaper.
-func RunFig3(opt Options) map[Quadrant][]QuadrantPoint {
-	quads := []Quadrant{Q1, Q2, Q3, Q4}
-	counts := DefaultCoreSweep()
+var quadrants = []Quadrant{Q1, Q2, Q3, Q4}
+
+// perQuadrant runs one series per quadrant in parallel, keyed by quadrant.
+func perQuadrant[P any](opt Options, series func(Quadrant) []P) map[Quadrant][]P {
+	all := pmap(opt, len(quadrants), func(i int) []P { return series(quadrants[i]) })
+	out := make(map[Quadrant][]P, len(all))
+	for i, q := range quadrants {
+		out[q] = all[i]
+	}
+	return out
+}
+
+// fourQuadrantTasks mirrors perQuadrant over default-core quadrant sweeps
+// (RunFig11, RunFig18, RunFig27).
+func fourQuadrantTasks(Spec) int { return 4 + 4*sweepTasks(len(DefaultCoreSweep())) }
+
+// fig3Keys lists the unique runs of Fig 3 in first-use order, and each
+// key's position in that list.
+func fig3Keys() ([]runKey, map[runKey]int) {
 	var keys []runKey
 	index := make(map[runKey]int)
 	need := func(k runKey) {
@@ -215,17 +190,34 @@ func RunFig3(opt Options) map[Quadrant][]QuadrantPoint {
 			keys = append(keys, k)
 		}
 	}
-	for _, q := range quads {
+	for _, q := range quadrants {
 		need(p2mRunKey(q))
-		for _, n := range counts {
+		for _, n := range DefaultCoreSweep() {
 			need(isoRunKey(q, n))
 			need(coRunKey(q, n))
 		}
 	}
+	return keys, index
+}
+
+// fig3Tasks mirrors RunFig3: one task per unique run.
+func fig3Tasks(Spec) int {
+	keys, _ := fig3Keys()
+	return len(keys)
+}
+
+// RunFig3 runs all four quadrants (Fig 3). The quadrants' runs are deduped
+// by runKey — each unique simulation runs once on the options' worker pool
+// and every point that needs it shares the measured result — which is
+// byte-identical to running all 52 (pinned by TestRunFig3MatchesQuadrants)
+// and about 27% cheaper.
+func RunFig3(opt Options) map[Quadrant][]QuadrantPoint {
+	counts := DefaultCoreSweep()
+	keys, index := fig3Keys()
 	measures := pmap(opt, len(keys), func(i int) Measure { return keys[i].run(opt) })
 	get := func(k runKey) Measure { return measures[index[k]] }
-	out := make(map[Quadrant][]QuadrantPoint, len(quads))
-	for _, q := range quads {
+	out := make(map[Quadrant][]QuadrantPoint, len(quadrants))
+	for _, q := range quadrants {
 		pts := make([]QuadrantPoint, len(counts))
 		for i, n := range counts {
 			pts[i] = QuadrantPoint{

@@ -27,41 +27,38 @@ func (p RatioPoint) P2MDegradation() float64 { return degradation(p.P2MIso, p.P2
 // regime emerging as a function of a single workload knob.
 func RunRatioSweep(cores int, fracs []float64, opt Options) []RatioPoint {
 	var p2mIso float64
-	pts := make([]RatioPoint, len(fracs))
-	tasks := make([]func(), 0, len(fracs)+1)
-	tasks = append(tasks, func() {
+	pts := sweep(opt, fracs, func() {
 		p2mIsoHost := opt.newHost()
 		addP2MDevice(p2mIsoHost, Q1)
 		p2mIsoHost.Run(opt.Warmup, opt.Window)
 		p2mIso = p2mIsoHost.P2MBW()
+	}, func(i int, f float64) RatioPoint {
+		p := RatioPoint{WriteFrac: f, Cores: cores}
+
+		iso := opt.newHost()
+		for c := 0; c < cores; c++ {
+			iso.AddCore(workload.NewSeqMix(iso.Region(1<<30), 1<<30, f, uint64(40+i*8+c)))
+		}
+		iso.Run(opt.Warmup, opt.Window)
+		p.C2MIso = iso.C2MBW()
+
+		co := opt.newHost()
+		for c := 0; c < cores; c++ {
+			co.AddCore(workload.NewSeqMix(co.Region(1<<30), 1<<30, f, uint64(40+i*8+c)))
+		}
+		co.AddStorage(periph.BulkConfig(periph.DMAWrite, co.Region(1<<30)))
+		co.Run(opt.Warmup, opt.Window)
+		m := snapshot(co)
+		p.C2MCo, p.P2MCo = m.C2MBW, m.P2MBW
+		p.WPQFullFrac = m.WPQFullFrac
+		p.WBacklog = m.WBacklog
+		return p
 	})
-	for i, f := range fracs {
-		tasks = append(tasks, func() {
-			p := RatioPoint{WriteFrac: f, Cores: cores}
-
-			iso := opt.newHost()
-			for c := 0; c < cores; c++ {
-				iso.AddCore(workload.NewSeqMix(iso.Region(1<<30), 1<<30, f, uint64(40+i*8+c)))
-			}
-			iso.Run(opt.Warmup, opt.Window)
-			p.C2MIso = iso.C2MBW()
-
-			co := opt.newHost()
-			for c := 0; c < cores; c++ {
-				co.AddCore(workload.NewSeqMix(co.Region(1<<30), 1<<30, f, uint64(40+i*8+c)))
-			}
-			co.AddStorage(periph.BulkConfig(periph.DMAWrite, co.Region(1<<30)))
-			co.Run(opt.Warmup, opt.Window)
-			m := snapshot(co)
-			p.C2MCo, p.P2MCo = m.C2MBW, m.P2MBW
-			p.WPQFullFrac = m.WPQFullFrac
-			p.WBacklog = m.WBacklog
-			pts[i] = p
-		})
-	}
-	pdo(opt, tasks...)
 	for i := range pts {
 		pts[i].P2MIso = p2mIso
 	}
 	return pts
 }
+
+// ratioTasks mirrors RunRatioSweep over n's write fractions.
+func ratioTasks(n Spec) int { return sweepTasks(len(n.WriteFracs)) }

@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/host"
+)
 
 // The continuous quadrant transition: at 5 cores, raising the C2M store
 // fraction moves the colocation from the blue regime (P2M intact) into the
@@ -43,7 +47,7 @@ func TestRegimesOnIceLake(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	opt := Defaults()
-	opt.Preset = iceLakePreset
+	opt.Preset = host.IceLake
 	// Blue: C2M-Read + P2M-Write with 8 cores.
 	blue := RunQuadrant(Q1, []int{8}, opt)[0]
 	t.Logf("IceLake Q1/8: C2M %.2fx P2M %.2fx", blue.C2MDegradation(), blue.P2MDegradation())

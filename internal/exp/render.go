@@ -240,3 +240,151 @@ func RenderTable1(w io.Writer) {
 	t.Add("IIO read credits", 328, 164)
 	t.Render(w)
 }
+
+// fig3CSV writes one CSV table per quadrant.
+func fig3CSV(w io.Writer, v any) error {
+	res := v.(map[Quadrant][]QuadrantPoint)
+	for _, q := range quadrants {
+		if err := QuadrantCSV(res[q]).WriteCSV(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderFig6 renders the Fig 6 evidence, then the §4.2 characterization.
+func renderFig6(w io.Writer, ev DomainEvidence) {
+	RenderDomainEvidence(w, ev)
+	for _, d := range Domains() {
+		fmt.Fprintln(w, d)
+	}
+	fmt.Fprintln(w)
+}
+
+func renderFig1(w io.Writer, r Fig1Result) {
+	RenderApps(w, "Fig 1: Redis/GAPBS + FIO on Ice Lake (DDIO on)",
+		map[string][]AppPoint{"Redis": r.Redis, "GAPBS-PR": r.GAPBS})
+}
+
+func renderFig2(w io.Writer, r Fig2Result) {
+	RenderApps(w, "Fig 2: DDIO on/off on Cascade Lake", ddioSeries(r.RedisOn, r.RedisOff, r.GAPBSOn, r.GAPBSOff))
+}
+
+func renderAppGrid(w io.Writer, g AppGridResult) {
+	RenderApps(w, "Appendix B "+g.Fig, ddioSeries(g.RedisOn, g.RedisOff, g.GAPBSOn, g.GAPBSOff))
+}
+
+func ddioSeries(redisOn, redisOff, gapbsOn, gapbsOff []AppPoint) map[string][]AppPoint {
+	return map[string][]AppPoint{
+		"Redis(on)": redisOn, "Redis(off)": redisOff,
+		"GAPBS(on)": gapbsOn, "GAPBS(off)": gapbsOff,
+	}
+}
+
+func renderFig19(w io.Writer, r Fig19Result) { RenderDCTCP(w, r.Read, r.ReadWrite) }
+
+// renderFig23 prints the microsecond-scale IIO occupancy of each point.
+func renderFig23(w io.Writer, pts []RDMAQuadrantPoint) {
+	for _, p := range pts {
+		fmt.Fprintf(w, "Fig 23: RDMA Q%d cores=%d pause=%.2f  us-scale IIO occupancy: %v\n",
+			p.Quadrant, p.Cores, p.PauseFrac, p.IIOOccSamples[:min(len(p.IIOOccSamples), 40)])
+	}
+	fmt.Fprintln(w)
+}
+
+func renderDCTCPFormula(w io.Writer, r Fig29Result) {
+	t := Table{
+		Title:  "Fig 29: formula error in the TCP case study (%)",
+		Header: []string{"case", "cores", "mem err", "net C2M err", "net P2M err"},
+	}
+	for _, set := range []struct {
+		name string
+		pts  []DCTCPFormulaPoint
+	}{{"C2MRead", r.Read}, {"C2MReadWrite", r.ReadWrite}} {
+		for _, f := range set.pts {
+			t.Add(set.name, f.C2MCores, fmt.Sprintf("%+.1f", f.MemErrPct),
+				fmt.Sprintf("%+.1f", f.NetC2MErrPct), fmt.Sprintf("%+.1f", f.NetP2MErrPct))
+		}
+	}
+	t.Render(w)
+}
+
+func renderRatio(w io.Writer, cores int, pts []RatioPoint) {
+	t := Table{
+		Title:  fmt.Sprintf("write-ratio sweep: the continuous blue->red transition (%d C2M cores + P2M-Write)", cores),
+		Header: []string{"writeFrac", "C2M degr", "P2M degr", "WPQ full", "backlog"},
+	}
+	for _, p := range pts {
+		t.Add(fmt.Sprintf("%.2f", p.WriteFrac), x(p.C2MDegradation()), x(p.P2MDegradation()),
+			fmt.Sprintf("%.2f", p.WPQFullFrac), fmt.Sprintf("%.1f", p.WBacklog))
+	}
+	t.Render(w)
+}
+
+func renderPrefetch(w io.Writer, s PrefetchStudy) {
+	fmt.Fprintf(w, "prefetch study (%d C2M-Read cores + P2M-Write):\n", s.Cores)
+	fmt.Fprintf(w, "  isolated:  %.1f -> %.1f GB/s with prefetching\n", s.IsoOff/1e9, s.IsoOn/1e9)
+	fmt.Fprintf(w, "  colocated: %.1f -> %.1f GB/s with prefetching\n", s.CoOff/1e9, s.CoOn/1e9)
+	fmt.Fprintf(w, "  degradation ratio: %.2fx off vs %.2fx on (roughly unchanged)\n\n",
+		s.DegradationOff(), s.DegradationOn())
+}
+
+func renderHostCC(w io.Writer, s HostCCStudy) {
+	fmt.Fprintf(w, "hostCC-style mitigation (red regime, Q%d with %d cores):\n", s.Quadrant, s.Cores)
+	fmt.Fprintf(w, "  P2M degradation: %.2fx -> %.2fx\n", s.P2MDegrOff(), s.P2MDegrOn())
+	fmt.Fprintf(w, "  C2M degradation: %.2fx -> %.2fx\n", s.C2MDegrOff(), s.C2MDegrOn())
+	fmt.Fprintf(w, "  congested %.0f%% of intervals, avg throttle %.0f ns\n\n",
+		s.CongestedFrac*100, s.AvgGapNanos)
+}
+
+func renderMCIsolation(w io.Writer, reserve int, s MCIsolationStudy) {
+	fmt.Fprintf(w, "MC isolation via WPQ reservation (red regime, Q3 with %d cores, reserve=%d):\n", s.Cores, reserve)
+	fmt.Fprintf(w, "  P2M degradation: %.2fx -> %.2fx\n", s.P2MDegrOff(), s.P2MDegrOn())
+	fmt.Fprintf(w, "  C2M degradation: %.2fx -> %.2fx\n\n", s.C2MDegrOff(), s.C2MDegrOn())
+}
+
+func renderCXL(w io.Writer, s CXLStudy) {
+	fmt.Fprintf(w, "CXL.mem expander (latency-for-isolation trade):\n")
+	fmt.Fprintf(w, "  CXL-homed reads: %.0f ns, %.2f GB/s (DRAM-homed: ~71 ns, ~10.8 GB/s)\n",
+		s.IsoReadLatNs, s.IsoC2MBW/1e9)
+	fmt.Fprintf(w, "  colocated with host-DRAM P2M writes: %.0f ns (untouched), P2M %.2f GB/s (untouched)\n\n",
+		s.CoReadLatNs, s.CoP2MBW/1e9)
+}
+
+func renderFaultSweep(w io.Writer, s *FaultSweep) {
+	fmt.Fprintf(w, "fault sweep (RDMA quadrant %d under %d fault windows):\n", s.Quadrant, len(s.Schedule))
+	for _, f := range s.Schedule {
+		fmt.Fprintf(w, "  %-18s start=%dns dur=%dns mag=%.2g ch=%d bank=%d\n",
+			f.Kind, f.StartNs, f.DurationNs, f.Magnitude, f.Channel, f.Bank)
+	}
+	t := Table{
+		Title: "healthy vs faulted degradation",
+		Header: []string{"cores", "C2M degr", "C2M faulted", "P2M degr", "P2M faulted",
+			"pause", "pause faulted"},
+	}
+	for _, p := range s.Points {
+		t.Add(p.Cores,
+			x(p.Healthy.C2MDegradation()), x(p.Faulted.C2MDegradation()),
+			x(p.Healthy.P2MDegradation()), x(p.Faulted.P2MDegradation()),
+			fmt.Sprintf("%.2f", p.Healthy.PauseFrac), fmt.Sprintf("%.2f", p.Faulted.PauseFrac))
+	}
+	t.Render(w)
+}
+
+func renderCrossval(w io.Writer, cv *CrossvalResult) {
+	t := Table{
+		Title: fmt.Sprintf("crossval: analytic vs sim, quadrant %d (envelope ±%.0f%%)",
+			cv.Quadrant, float64(CrossvalEnvelopePct)),
+		Header: []string{"cores", "sim C2M", "pred C2M", "BW err", "sim L", "pred L", "L err"},
+	}
+	for _, p := range cv.Points {
+		t.Add(p.Cores,
+			fmt.Sprintf("%.1f GB/s", p.SimC2MBytesPerSec/1e9),
+			fmt.Sprintf("%.1f GB/s", p.PredC2MBytesPerSec/1e9),
+			fmt.Sprintf("%+.1f%%", p.BWErrPct),
+			fmt.Sprintf("%.0f ns", p.SimC2MReadLatencyNs),
+			fmt.Sprintf("%.0f ns", p.PredC2MReadLatencyNs),
+			fmt.Sprintf("%+.1f%%", p.LatErrPct))
+	}
+	t.Render(w)
+}

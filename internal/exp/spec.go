@@ -7,11 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/host"
-	"repro/internal/hostcc"
 	"repro/internal/sim"
 )
 
@@ -46,11 +44,12 @@ type Spec struct {
 	WriteFracs []float64 `json:"write_fracs,omitempty"`
 	// Reserve is the per-channel WPQ reservation of mcisolation.
 	Reserve int `json:"reserve,omitempty"`
-	// Faults schedules transient degradation windows for experiments that
-	// honor them (quadrant, rdma, hostcc, faultsweep, incast). Faults change
-	// results, so they are part of the spec — and thus of the cache key —
-	// unlike the execution-only knobs. Times are absolute simulated
-	// nanoseconds from engine start (warmup begins at 0).
+	// Faults schedules transient degradation windows for the experiments
+	// whose registry shape reads them (fig3, fig18 and the quadrant, rdma,
+	// hostcc, faultsweep and incast sweeps). Faults change results, so they
+	// are part of the spec — and thus of the cache key — unlike the
+	// execution-only knobs. Times are absolute simulated nanoseconds from
+	// engine start (warmup begins at 0).
 	Faults []fault.Window `json:"faults,omitempty"`
 	// Fabric is the rack shape and traffic pattern for multi-host
 	// experiments (incast). Nil means the experiment's default rack.
@@ -76,74 +75,6 @@ const (
 	DefaultWarmupNs = 20_000
 	DefaultWindowNs = 100_000
 )
-
-// specShape declares which Spec knobs an experiment reads, plus its
-// defaults; normalization clears unread knobs so equivalent specs hash
-// equal.
-type specShape struct {
-	preset   bool // honors Preset
-	ddio     bool // honors DDIO
-	quadrant bool // honors Quadrant
-	cores    bool // honors Cores
-	fracs    bool // honors WriteFracs
-	reserve  bool // honors Reserve
-	faults   bool // honors Faults
-	fabric   bool // honors Fabric
-
-	defQuadrant int
-	defCores    []int
-	defFaults   bool // empty Faults means the default demo schedule
-}
-
-var sweepShape = specShape{preset: true, ddio: true, quadrant: true, cores: true, faults: true, defQuadrant: 1}
-
-var specShapes = map[string]specShape{
-	// Full figures: every knob beyond interval/ddio is fixed by the figure.
-	"fig3":  {preset: true, ddio: true},
-	"fig6":  {preset: true, ddio: true},
-	"fig11": {preset: true, ddio: true},
-	"fig18": {preset: true, ddio: true},
-	"fig19": {preset: true, ddio: true},
-	"fig27": {preset: true, ddio: true},
-	"fig29": {preset: true, ddio: true},
-	// App figures fix preset and DDIO pairing themselves.
-	"fig1":  {},
-	"fig2":  {},
-	"fig15": {},
-	"fig16": {},
-	"fig17": {},
-	// Parameterized sweeps and studies.
-	"quadrant":    sweepShape,
-	"rdma":        sweepShape,
-	"ratio":       {preset: true, ddio: true, cores: true, fracs: true, defCores: []int{5}},
-	"hostcc":      {preset: true, ddio: true, quadrant: true, cores: true, faults: true, defQuadrant: 3, defCores: []int{5}},
-	"mcisolation": {preset: true, ddio: true, cores: true, reserve: true, defCores: []int{5}},
-	"prefetch":    {preset: true, ddio: true, cores: true, defCores: []int{2}},
-	// faultsweep pairs a healthy and a faulted RDMA quadrant sweep (a
-	// Fig-3-style quadrant under degradation); an empty fault list gets the
-	// default storm/throttle/starvation demo schedule.
-	"faultsweep": {preset: true, ddio: true, quadrant: true, cores: true, faults: true,
-		defQuadrant: 3, defCores: []int{2, 4, 6}, defFaults: true},
-	// incast is the rack-scale experiment: M senders converge on a receiver
-	// whose host network is the bottleneck. Cores[0] is the receiver's
-	// colocated C2M core count; the fabric section shapes the rack.
-	"incast": {preset: true, ddio: true, cores: true, faults: true, fabric: true, defCores: []int{4}},
-	// crossval runs both fidelity tiers on the same quadrant points and
-	// reports the analytic-vs-sim error per point. The analytic side fixes
-	// its own testbed (Cascade Lake, DDIO off, no faults), so only the
-	// quadrant and core sweep are honored.
-	"crossval": {quadrant: true, cores: true, defQuadrant: 1},
-}
-
-// Experiments lists the valid Spec.Experiment names, sorted.
-func Experiments() []string {
-	names := make([]string, 0, len(specShapes))
-	for name := range specShapes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // defaultWriteFracs is the ratio experiment's store-fraction sweep.
 func defaultWriteFracs() []float64 { return []float64{0, 0.25, 0.5, 0.75, 1} }
@@ -174,10 +105,11 @@ func (s Spec) Normalized() Spec {
 		// every (warmup, window) variant collapse onto one address.
 		n.WarmupNs, n.WindowNs = 0, 0
 	}
-	shape, ok := specShapes[s.Experiment]
+	e, ok := registry[s.Experiment]
 	if !ok {
 		return n // validation rejects it; keep the rest untouched
 	}
+	shape := e.shape
 	if shape.preset && s.Preset != "" && s.Preset != "cascadelake" {
 		n.Preset = s.Preset
 	}
@@ -247,10 +179,11 @@ func DefaultFaultSchedule(warmupNs, windowNs int64) fault.Schedule {
 // Validate checks a spec without normalizing it; RunSpec validates the
 // normalized form, so callers usually go through Canonical or RunSpec.
 func (s Spec) Validate() error {
-	shape, ok := specShapes[s.Experiment]
+	e, ok := registry[s.Experiment]
 	if !ok {
 		return fmt.Errorf("unknown experiment %q (valid: %v)", s.Experiment, Experiments())
 	}
+	shape := e.shape
 	if s.WarmupNs < 0 || s.WindowNs < 0 {
 		return fmt.Errorf("negative interval: warmup_ns=%d window_ns=%d", s.WarmupNs, s.WindowNs)
 	}
@@ -344,10 +277,20 @@ type Fig19Result struct {
 	ReadWrite []DCTCPPoint
 }
 
+func runFig19(opt Options) Fig19Result {
+	read, rw := RunFig19(opt)
+	return Fig19Result{Read: read, ReadWrite: rw}
+}
+
 // Fig29Result pairs the two formula-validation series of Fig 29/30.
 type Fig29Result struct {
 	Read      []DCTCPFormulaPoint
 	ReadWrite []DCTCPFormulaPoint
+}
+
+func runFig29(opt Options) Fig29Result {
+	read, rw := RunFig29(opt)
+	return Fig29Result{Read: read, ReadWrite: rw}
 }
 
 // RunSpec normalizes, validates, and executes a spec, returning the
@@ -384,96 +327,15 @@ func RunSpec(s Spec, opt Options) (v any, err error) {
 		}
 		panic(r)
 	}()
-	switch n.Experiment {
-	case "fig3":
-		return RunFig3(opt), nil
-	case "fig6":
-		return RunFig6(opt), nil
-	case "fig11":
-		return RunFig11(opt), nil
-	case "fig18":
-		return RunFig18(opt), nil
-	case "fig19":
-		read, rw := RunFig19(opt)
-		return Fig19Result{Read: read, ReadWrite: rw}, nil
-	case "fig27":
-		return RunFig27(opt), nil
-	case "fig29":
-		read, rw := RunFig29(opt)
-		return Fig29Result{Read: read, ReadWrite: rw}, nil
-	case "fig1":
-		return RunFig1(opt), nil
-	case "fig2":
-		return RunFig2(opt), nil
-	case "fig15":
-		return RunFig15(opt), nil
-	case "fig16":
-		return RunFig16(opt), nil
-	case "fig17":
-		return RunFig17(opt), nil
-	case "quadrant":
-		return RunQuadrant(Quadrant(n.Quadrant), n.Cores, opt), nil
-	case "rdma":
-		return RunRDMAQuadrant(Quadrant(n.Quadrant), n.Cores, opt), nil
-	case "ratio":
-		return RunRatioSweep(n.Cores[0], n.WriteFracs, opt), nil
-	case "hostcc":
-		return RunHostCCStudy(Quadrant(n.Quadrant), n.Cores[0], hostcc.DefaultConfig(), opt), nil
-	case "mcisolation":
-		return RunMCIsolationStudy(n.Cores[0], n.Reserve, opt), nil
-	case "prefetch":
-		return RunPrefetchStudy(n.Cores[0], opt), nil
-	case "faultsweep":
-		return RunFaultSweep(Quadrant(n.Quadrant), n.Cores, fault.Schedule(n.Faults), opt), nil
-	case "incast":
-		return RunIncast(*n.Fabric, n.Cores[0], fault.Schedule(n.Faults), opt), nil
-	case "crossval":
-		return RunCrossval(Quadrant(n.Quadrant), n.Cores, opt)
-	}
-	return nil, fmt.Errorf("experiment %q validated but not dispatchable", n.Experiment)
+	return registry[n.Experiment].run(n, opt)
 }
 
 // NewResultValue returns a pointer to the zero value of the experiment's
 // concrete result type, for decoding a Result envelope's payload back into
 // typed form. Nil for unknown experiments.
 func NewResultValue(experiment string) any {
-	switch experiment {
-	case "fig3":
-		return &map[Quadrant][]QuadrantPoint{}
-	case "fig6":
-		return &DomainEvidence{}
-	case "fig11", "fig27":
-		return &map[Quadrant][]FormulaPoint{}
-	case "fig18":
-		return &map[Quadrant][]RDMAQuadrantPoint{}
-	case "fig19":
-		return &Fig19Result{}
-	case "fig29":
-		return &Fig29Result{}
-	case "fig1":
-		return &Fig1Result{}
-	case "fig2":
-		return &Fig2Result{}
-	case "fig15", "fig16", "fig17":
-		return &AppGridResult{}
-	case "quadrant":
-		return &[]QuadrantPoint{}
-	case "rdma":
-		return &[]RDMAQuadrantPoint{}
-	case "ratio":
-		return &[]RatioPoint{}
-	case "hostcc":
-		return &HostCCStudy{}
-	case "mcisolation":
-		return &MCIsolationStudy{}
-	case "prefetch":
-		return &PrefetchStudy{}
-	case "faultsweep":
-		return &FaultSweep{}
-	case "incast":
-		return &IncastSweep{}
-	case "crossval":
-		return &CrossvalResult{}
+	if e, ok := registry[experiment]; ok {
+		return e.result()
 	}
 	return nil
 }
@@ -516,49 +378,17 @@ func RunSpecJSON(s Spec, opt Options) ([]byte, error) {
 	return b, nil
 }
 
-// SpecTasks estimates the number of sweep tasks a spec fans out (the number
-// of Options.Progress callbacks a run will make), so streaming clients can
-// show completion against a known denominator. 0 means unknown.
+// SpecTasks is the number of sweep tasks a spec fans out (the number of
+// Options.Progress callbacks a run makes), so streaming clients can show
+// completion against a known denominator. 0 means the run reports no
+// progress.
 func SpecTasks(s Spec) int {
 	n := s.Normalized()
 	if n.Fidelity == FidelityAnalytic {
 		return 0 // answered inline; no sweep tasks, no progress stream
 	}
-	// A quadrant-style sweep runs one task per core count plus one baseline;
-	// pdo/pmap also count the enclosing fan-out tasks.
-	sweep := func(counts int) int { return counts + 1 }
-	switch n.Experiment {
-	case "fig3":
-		// RunFig3 dedups the 4x13 logical runs to the unique-key set: two
-		// C2M iso baselines per core count, two device baselines, and the
-		// four quadrants' colocated runs.
-		return 2*len(DefaultCoreSweep()) + 2 + 4*len(DefaultCoreSweep())
-	case "fig18":
-		return 4 + 4*sweep(len(DefaultCoreSweep()))
-	case "fig11", "fig27":
-		return 4 + 4*sweep(len(DefaultCoreSweep()))
-	case "fig19":
-		return 2 + 2*sweep(4)
-	case "fig29":
-		return 2 + 2*sweep(4)
-	case "fig1":
-		return 2 + 2*sweep(6)
-	case "fig2":
-		return 4 + 4*sweep(6)
-	case "fig15", "fig16", "fig17":
-		return 4 + 4*sweep(4)
-	case "quadrant", "rdma", "crossval":
-		return sweep(len(n.Cores))
-	case "ratio":
-		return sweep(len(n.WriteFracs))
-	case "faultsweep":
-		return 2 + 2*sweep(len(n.Cores))
-	case "incast":
-		d := len(n.Fabric.degrees())
-		if len(n.Faults) == 0 {
-			return d
-		}
-		return 2 + 2*d
+	if e := registry[n.Experiment]; e != nil && e.tasks != nil {
+		return e.tasks(n)
 	}
 	return 0
 }

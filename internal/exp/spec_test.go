@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // fastOpt keeps spec tests cheap; result-affecting knobs live in the spec.
@@ -168,8 +171,8 @@ func TestValidateErrors(t *testing.T) {
 
 func TestExperimentsCatalog(t *testing.T) {
 	names := Experiments()
-	if len(names) != len(specShapes) {
-		t.Fatalf("Experiments() returned %d names, want %d", len(names), len(specShapes))
+	if len(names) != len(registry) {
+		t.Fatalf("Experiments() returned %d names, want %d", len(names), len(registry))
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -183,6 +186,13 @@ func TestExperimentsCatalog(t *testing.T) {
 		if err := (Spec{Experiment: name}).Validate(); err != nil {
 			t.Errorf("default spec for %q invalid: %v", name, err)
 		}
+		e := registry[name]
+		if e.run == nil || e.text == nil {
+			t.Errorf("%s: registry entry lacks a run function or a renderer", name)
+		}
+		if (e.split == nil) != (e.merge == nil) {
+			t.Errorf("%s: split and merge must be declared together", name)
+		}
 	}
 	if NewResultValue("bogus") != nil {
 		t.Errorf("NewResultValue for unknown experiment should be nil")
@@ -190,29 +200,24 @@ func TestExperimentsCatalog(t *testing.T) {
 }
 
 // SpecTasks matches the number of Progress callbacks an actual run makes,
-// for the sweep experiments where it claims to know.
+// for every registered experiment (and a faulted incast, whose count
+// doubles).
 func TestSpecTasksMatchesProgress(t *testing.T) {
-	for _, spec := range []Spec{
-		{Experiment: "quadrant", Cores: []int{1, 2}, WarmupNs: 1000, WindowNs: 2000},
-		{Experiment: "ratio", Cores: []int{1}, WriteFracs: []float64{0, 1}, WarmupNs: 1000, WindowNs: 2000},
-	} {
-		want := SpecTasks(spec)
-		if want == 0 {
-			t.Fatalf("SpecTasks(%s) = 0", spec.Experiment)
-		}
-		var calls int64
+	var specs []Spec
+	for _, name := range Experiments() {
+		specs = append(specs, Spec{Experiment: name, WarmupNs: 500, WindowNs: 1000})
+	}
+	specs = append(specs, Spec{Experiment: "incast", WarmupNs: 500, WindowNs: 1000,
+		Faults: []fault.Window{{Kind: fault.PauseStorm, StartNs: 600, DurationNs: 300}}})
+	for _, spec := range specs {
+		var calls atomic.Int64
 		opt := fastOpt(2)
-		var mu = make(chan struct{}, 1)
-		opt.Progress = func() {
-			mu <- struct{}{}
-			calls++
-			<-mu
-		}
+		opt.Progress = func() { calls.Add(1) }
 		if _, err := RunSpec(spec, opt); err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatalf("%s: run: %v", spec.Experiment, err)
 		}
-		if calls != int64(want) {
-			t.Errorf("%s: %d progress calls, SpecTasks says %d", spec.Experiment, calls, want)
+		if want := SpecTasks(spec); calls.Load() != int64(want) {
+			t.Errorf("%s: %d progress calls, SpecTasks says %d", spec.Experiment, calls.Load(), want)
 		}
 	}
 }

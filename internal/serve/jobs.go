@@ -128,11 +128,15 @@ type Job struct {
 	cost    int64
 
 	// Tenant-quota bookkeeping, guarded by the manager's mutex: charged on
-	// enqueue, released exactly once on the first terminal transition that
-	// reaches releaseTenant (cancel-while-queued releases immediately; the
-	// worker's deferred release is then a no-op).
+	// enqueue, released exactly once, before the terminal transition, by
+	// whichever path reaches releaseTenant first.
 	quotaCharged  bool
 	quotaReleased bool
+
+	// refineClosed, guarded by the manager's mutex, is set once the worker
+	// has consumed any refinement watch on this job; later watches compare
+	// inline instead of registering.
+	refineClosed bool
 }
 
 func newJob(id string, spec exp.Spec, canonical []byte) *Job {
@@ -216,19 +220,19 @@ func (j *Job) markRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// requestCancel cancels the job: queued jobs finish as Canceled on the
-// spot; running jobs get their context canceled (the sweep stops between
-// points and the worker records the terminal state). Terminal jobs are
-// untouched. Reports whether the request had any effect and whether the
-// job was still queued (it turned terminal right here, without a worker).
-func (j *Job) requestCancel(reason string) (acted, wasQueued bool) {
+// requestCancel cancels the job: queued jobs run beforeFinish and finish
+// as Canceled on the spot; running jobs get their context canceled (the
+// sweep stops between points and the worker records the terminal state).
+// Terminal jobs are untouched. Reports whether the request had any effect.
+func (j *Job) requestCancel(reason string, beforeFinish func()) bool {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
 		j.cancelCause = reason
+		beforeFinish()
 		j.finishLocked(StateCanceled, nil, "canceled while queued: "+reason)
 		j.mu.Unlock()
-		return true, true
+		return true
 	case StateRunning:
 		j.cancelCause = reason
 		cancel := j.cancel
@@ -236,10 +240,10 @@ func (j *Job) requestCancel(reason string) (acted, wasQueued bool) {
 		if cancel != nil {
 			cancel()
 		}
-		return true, false
+		return true
 	}
 	j.mu.Unlock()
-	return false, false
+	return false
 }
 
 // finish moves the job to a terminal state exactly once.
@@ -334,35 +338,8 @@ func (m *manager) Submit(spec exp.Spec, canonical []byte, tenant string) (*Job, 
 	if m.closed {
 		return nil, OutcomeAccepted, ErrClosed
 	}
-	if j, ok := m.jobs[id]; ok {
-		switch j.State() {
-		case StateDone:
-			m.touchLocked(j)
-			m.met.cacheHits.Add(1)
-			return j, OutcomeCacheHit, nil
-		case StateQueued, StateRunning:
-			m.met.dedupInflight.Add(1)
-			return j, OutcomeDeduplicated, nil
-		default:
-			// Failed or canceled: drop the stale record and retry fresh.
-			m.removeLocked(j)
-		}
-	}
-	if st := m.cfg.Store; st != nil {
-		// Read through the persistent store before paying for a simulation:
-		// a result filed by an earlier life of this daemon — or by a fleet
-		// peer sharing the directory — is as good as a local cache hit
-		// (determinism guarantees the bytes). The revived job enters the
-		// in-memory LRU like any freshly computed one.
-		if result, ok := st.Get(storeKey); ok {
-			j := newJob(id, spec, canonical)
-			j.StoreKey = storeKey
-			j.finish(StateDone, result, "")
-			m.jobs[id] = j
-			m.insertLocked(j, StateDone, result)
-			m.met.storeHits.Add(1)
-			return j, OutcomeStoreHit, nil
-		}
+	if j, outcome := m.cachedLocked(id, storeKey, spec, canonical); j != nil {
+		return j, outcome, nil
 	}
 	if q := m.cfg.TenantQuota; q > 0 && m.tenants[tenant] >= q {
 		// Per-tenant shed happens only on the path that would consume a
@@ -388,15 +365,58 @@ func (m *manager) Submit(spec exp.Spec, canonical []byte, tenant string) (*Job, 
 	}
 }
 
+// cachedLocked answers a content address without computing: a completed
+// job is a cache hit, a queued or running one a dedup, and a result in the
+// persistent store — filed by an earlier life of this daemon, or by a fleet
+// peer sharing the directory, and as good as a local hit by determinism —
+// is revived as a done job that enters the LRU like a fresh one. A failed
+// or canceled record is dropped so the caller computes afresh. A nil job
+// means no answer.
+func (m *manager) cachedLocked(id, storeKey string, spec exp.Spec, canonical []byte) (*Job, Outcome) {
+	if j, ok := m.jobs[id]; ok {
+		switch j.State() {
+		case StateDone:
+			m.touchLocked(j)
+			m.met.cacheHits.Add(1)
+			return j, OutcomeCacheHit
+		case StateQueued, StateRunning:
+			m.met.dedupInflight.Add(1)
+			return j, OutcomeDeduplicated
+		}
+		m.removeLocked(j)
+	}
+	if st := m.cfg.Store; st != nil {
+		if result, ok := st.Get(storeKey); ok {
+			m.met.storeHits.Add(1)
+			return m.fileDoneLocked(id, storeKey, spec, canonical, result), OutcomeStoreHit
+		}
+	}
+	return nil, OutcomeAccepted
+}
+
+// fileDoneLocked files a result computed or found without the queue as a
+// done job at its content address.
+func (m *manager) fileDoneLocked(id, storeKey string, spec exp.Spec, canonical, result []byte) *Job {
+	j := newJob(id, spec, canonical)
+	j.StoreKey = storeKey
+	m.jobs[id] = j
+	m.insertLocked(j, StateDone, result)
+	j.finish(StateDone, result, "")
+	return j
+}
+
 // releaseTenant returns a job's admission-quota slot, exactly once per
 // charge: only jobs that actually enqueued were charged (cache, store,
 // dedup, and analytic answers never were), and a slot released early by
-// Cancel is not released again by the worker's deferred call. Idempotence
-// is what makes auditing terminal paths tractable — every path may call
-// this safely.
+// Cancel is not released again by the worker. Idempotence is what makes
+// auditing terminal paths tractable — every path may call this safely.
 func (m *manager) releaseTenant(j *Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.releaseTenantLocked(j)
+}
+
+func (m *manager) releaseTenantLocked(j *Job) {
 	if !j.quotaCharged || j.quotaReleased {
 		return
 	}
@@ -408,16 +428,15 @@ func (m *manager) releaseTenant(j *Job) {
 	}
 }
 
-// Cancel forwards a cancellation request and, when the job was canceled
-// while still queued, releases its tenant-quota slot immediately: the
-// tombstone sitting in the queue must not hold the tenant's admission
-// budget until a worker happens to drain it.
+// Cancel forwards a cancellation request. A job canceled while still
+// queued turns terminal right here, so its tenant-quota slot is released
+// first: the tombstone sitting in the queue must not hold the tenant's
+// admission budget until a worker drains it, and a client woken by the
+// cancellation must find the slot free.
 func (m *manager) Cancel(j *Job, reason string) bool {
-	acted, wasQueued := j.requestCancel(reason)
-	if acted && wasQueued {
-		m.releaseTenant(j)
-	}
-	return acted
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return j.requestCancel(reason, func() { m.releaseTenantLocked(j) })
 }
 
 // tenantInFlight reports a tenant's charged admission slots (tests).
@@ -455,16 +474,17 @@ func (m *manager) worker() {
 // run executes one job with panic isolation, per-job timeout, and progress
 // accounting, then files the terminal result in the cache.
 func (m *manager) run(j *Job) {
-	defer m.releaseTenant(j) // admission-quota slot held from Submit until terminal
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.cfg.JobTimeout)
 	defer cancel()
 	if !j.markRunning(cancel) {
-		// Canceled while queued: the job is already terminal, but it still
-		// occupies a slot in m.jobs. File it in the LRU so the record is
-		// accounted for and eventually evicted instead of leaking forever.
-		// Skip if a resubmission already replaced the record (the stale
-		// object must not shadow the live one in the LRU).
+		// Canceled while queued: Cancel already released the quota slot and
+		// finished the job, but it still occupies a slot in m.jobs. File it
+		// in the LRU so the record is accounted for and eventually evicted
+		// instead of leaking forever. Skip if a resubmission already
+		// replaced the record (the stale object must not shadow the live
+		// one in the LRU). A refinement watch on it is dropped.
 		m.mu.Lock()
+		m.takeRefineLocked(j)
 		if m.jobs[j.ID] == j {
 			m.insertLocked(j, StateCanceled, nil)
 		}
@@ -520,13 +540,14 @@ func (m *manager) run(j *Job) {
 		st = StateDone
 	}
 
+	// Every terminal side effect lands before finish flips the state and
+	// wakes ?wait=true clients: a client that sees the job finish also sees
+	// its store entry, its tenant slot free, its metrics and its crossval
+	// points.
 	if st == StateDone {
 		m.writeThrough(j, out)
 	}
-	m.mu.Lock()
-	m.insertLocked(j, st, out)
-	m.mu.Unlock()
-	j.finish(st, out, msg)
+	m.releaseTenant(j) // admission-quota slot held from Submit until terminal
 	m.met.observe(st, wall)
 	if st == StateDone {
 		// Feed the Retry-After estimate (completed sim jobs only; analytic
@@ -535,11 +556,16 @@ func (m *manager) run(j *Job) {
 		m.met.noteJobDuration(wall)
 		m.noteCrossvalJob(j.Spec, out)
 	}
+	m.mu.Lock()
+	env := m.takeRefineLocked(j)
+	m.insertLocked(j, st, out)
+	m.mu.Unlock()
 	// A refinement watch is consumed no matter how the twin ended; only a
 	// completed twin yields a comparison.
-	if env := m.takeRefine(j.ID); env != nil && st == StateDone {
+	if env != nil && st == StateDone {
 		m.noteCrossval(env, out)
 	}
+	j.finish(st, out, msg)
 }
 
 // noteCrossvalJob records a completed crossval experiment's points.
@@ -566,28 +592,29 @@ func (m *manager) noteCrossval(analyticEnv, simEnv []byte) {
 }
 
 // watchRefine registers an analytic envelope for comparison when the sim
-// twin completes. If the twin is already terminal (a dedup race, or a twin
-// canceled before the watch landed), the registration is consumed inline.
+// twin completes. If the twin's worker has already consumed its watches (a
+// dedup race, a twin about to finish, or one already terminal), the
+// comparison happens inline once the twin's result is final.
 func (m *manager) watchRefine(twin *Job, analyticEnv []byte) {
 	m.mu.Lock()
-	m.refine[twin.ID] = analyticEnv
-	m.mu.Unlock()
-	if st := twin.State(); st == StateQueued || st == StateRunning {
-		return // run() consumes the watch at the terminal transition
+	if st := twin.State(); !twin.refineClosed && (st == StateQueued || st == StateRunning) {
+		m.refine[twin.ID] = analyticEnv
+		m.mu.Unlock()
+		return // run() consumes the watch before the terminal transition
 	}
-	if env := m.takeRefine(twin.ID); env != nil {
-		if result, _, st := twin.Result(); st == StateDone {
-			m.noteCrossval(env, result)
-		}
+	m.mu.Unlock()
+	<-twin.Done()
+	if result, _, st := twin.Result(); st == StateDone {
+		m.noteCrossval(analyticEnv, result)
 	}
 }
 
-// takeRefine consumes a refinement watch; nil if none (or already taken).
-func (m *manager) takeRefine(id string) []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	env := m.refine[id]
-	delete(m.refine, id)
+// takeRefineLocked consumes j's refinement watch (nil if none) and closes
+// j to further watches.
+func (m *manager) takeRefineLocked(j *Job) []byte {
+	env := m.refine[j.ID]
+	delete(m.refine, j.ID)
+	j.refineClosed = true
 	return env
 }
 
@@ -606,36 +633,16 @@ func (m *manager) RunAnalytic(spec exp.Spec, canonical []byte) (*Job, Outcome, e
 	if m.closed {
 		return nil, OutcomeAccepted, ErrClosed
 	}
-	if j, ok := m.jobs[id]; ok {
-		if j.State() == StateDone {
-			m.touchLocked(j)
-			m.met.cacheHits.Add(1)
-			return j, OutcomeCacheHit, nil
-		}
-		// Analytic addresses never enqueue, so a non-Done record can only
-		// be a stale failure; drop it and recompute.
-		m.removeLocked(j)
-	}
-	if st := m.cfg.Store; st != nil {
-		if result, ok := st.Get(storeKey); ok {
-			j := newJob(id, spec, canonical)
-			j.StoreKey = storeKey
-			j.finish(StateDone, result, "")
-			m.jobs[id] = j
-			m.insertLocked(j, StateDone, result)
-			m.met.storeHits.Add(1)
-			return j, OutcomeStoreHit, nil
-		}
+	// Analytic addresses never enqueue, so the cache answers a hit or
+	// drops a stale failure.
+	if j, outcome := m.cachedLocked(id, storeKey, spec, canonical); j != nil {
+		return j, outcome, nil
 	}
 	out, err := exp.RunSpecJSON(spec, exp.Defaults())
 	if err != nil {
 		return nil, OutcomeAccepted, err
 	}
-	j := newJob(id, spec, canonical)
-	j.StoreKey = storeKey
-	j.finish(StateDone, out, "")
-	m.jobs[id] = j
-	m.insertLocked(j, StateDone, out)
+	j := m.fileDoneLocked(id, storeKey, spec, canonical, out)
 	m.writeThrough(j, out)
 	m.met.analyticServed.Add(1)
 	m.met.analyticNanos.Add(time.Since(start).Nanoseconds())

@@ -327,3 +327,59 @@ func TestStreamSlowConsumerJobStillCompletes(t *testing.T) {
 		t.Fatalf("final event %+v, want done/done", last)
 	}
 }
+
+// A client woken by a job's terminal transition must observe every side
+// effect of it: the tenant slot free, the job counted as finished, and a
+// crossval job's points in the report. A client that resubmits or reads
+// GET /crossval right after ?wait=true returns relies on this.
+func TestTerminalSideEffectsPrecedeWake(t *testing.T) {
+	s := testServer(t, Config{Workers: 1, TenantQuota: 1})
+	for i := 1; i <= 20; i++ {
+		spec := exp.Spec{Experiment: "crossval", Quadrant: 1, Cores: []int{1}, WarmupNs: 1000, WindowNs: 1000 + int64(i)}.Normalized()
+		canonical, err := spec.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := s.mgr.Submit(spec, canonical, "t")
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		<-j.Done()
+		if got := s.mgr.tenantInFlight("t"); got != 0 {
+			t.Fatalf("job %d: tenant holds %d slots after wake, want 0", i, got)
+		}
+		if got := s.met.finished[StateDone].Load(); got != int64(i) {
+			t.Fatalf("job %d: %d jobs counted finished after wake, want %d", i, got, i)
+		}
+		if got := s.mgr.cv.samples(); got != int64(i) {
+			t.Fatalf("job %d: %d crossval samples after wake, want %d", i, got, i)
+		}
+	}
+
+	// Cancel while queued: the slot is free by the time the job is done.
+	block := make(chan struct{})
+	s.mgr.beforeRun = func(ctx context.Context, j *Job) { <-block }
+	defer close(block)
+	running := submitSmall(t, s, smallSpec(1), "busy")
+	waitState(t, running, StateRunning)
+	queued := submitSmall(t, s, smallSpec(2), "t")
+	go s.mgr.Cancel(queued, "test")
+	<-queued.Done()
+	if got := s.mgr.tenantInFlight("t"); got != 0 {
+		t.Fatalf("tenant holds %d slots after cancel-while-queued wake, want 0", got)
+	}
+}
+
+func submitSmall(t *testing.T, s *Server, spec exp.Spec, tenant string) *Job {
+	t.Helper()
+	n := spec.Normalized()
+	canonical, err := n.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := s.mgr.Submit(n, canonical, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
