@@ -242,6 +242,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		opt.Audit = true
 	}
 	opt.FabricWorkers = *fabricWorkers
+	// One run cache per invocation: `all` simulates each shared baseline
+	// once across the names it renders.
+	opt.Runs = exp.NewRunCache()
 	for _, v := range views {
 		// JSON lines are byte-identical to hostnetd's result endpoint for
 		// the same spec: both route through exp.RunSpecJSON.

@@ -99,13 +99,13 @@ func (p AppPoint) String() string {
 // the device baseline and the per-count points run on the options' pool.
 func RunAppColocation(a App, dir periph.Direction, coreCounts []int, opt Options) []AppPoint {
 	var p2mIso float64
-	pts := sweep(opt, coreCounts, func() {
-		// Device baseline, independent of the app core count.
-		devIso := opt.newHost()
-		devIso.AddStorage(periph.BulkConfig(dir, devIso.Region(1<<30)))
-		devIso.Run(opt.Warmup, opt.Window)
-		p2mIso = devIso.P2MBW()
-	}, func(_, n int) AppPoint {
+	// The device baseline is independent of the app core count: the P2M
+	// run of the quadrant whose device moves data in dir.
+	devQ := Q2
+	if dir == periph.DMAWrite {
+		devQ = Q1
+	}
+	pts := sweep(opt, coreCounts, func() { p2mIso = quadrantRun(opt, devQ, 0, true).P2MBW }, func(_, n int) AppPoint {
 		p := AppPoint{App: a, Cores: n, DDIO: opt.DDIO}
 		iso, metric := appHost(a, n, opt)
 		iso.Run(opt.Warmup, opt.Window)

@@ -63,6 +63,12 @@ type Options struct {
 	// concurrently from pool workers and must be safe for concurrent use.
 	// Purely observational: it cannot change results.
 	Progress func()
+	// Runs, when non-nil, shares one-host run measurements (the quadrant
+	// runs and the RDMA NIC-alone baseline) with every other experiment
+	// using the same cache; nil simulates every run. Execution-only: a
+	// shared run is the same deterministic simulation, so results are
+	// byte-identical either way (pinned by TestSharedRunsByteIdentical).
+	Runs *RunCache
 }
 
 // Defaults returns the options used throughout §2.2/§5/§6: Cascade Lake,
@@ -84,14 +90,17 @@ func (o Options) auditConfig() audit.Config {
 	return audit.Config{Enabled: o.Audit, FailFast: true}
 }
 
-func (o Options) newHost() *host.Host {
+// hostConfig is the config of every host the experiment builds.
+func (o Options) hostConfig() host.Config {
 	cfg := o.Preset()
 	cfg.DDIO.Enabled = o.DDIO
 	cfg.DDIO.ScrambleEvictions = o.DDIO
 	cfg.Audit = o.auditConfig()
 	cfg.Faults = o.Faults
-	return host.New(cfg)
+	return cfg
 }
+
+func (o Options) newHost() *host.Host { return host.New(o.hostConfig()) }
 
 // Measure is a full probe snapshot of one run's measurement window.
 type Measure struct {

@@ -23,6 +23,24 @@ func addRDMADevice(h *host.Host, q Quadrant) (bw func() float64, pause func() fl
 	return nic.BytesPerSec, func() float64 { return 0 }, nic.ResetStats
 }
 
+// rdmaBaseline measures the quadrant's RDMA NIC alone, the P2M-alone
+// baseline of every RDMA point, from opt.Runs when an earlier lookup
+// already ran it. Keyed like the storage device's baseline, plus the
+// device kind.
+func rdmaBaseline(opt Options, q Quadrant) Measure {
+	k := p2mRunKey(q)
+	return opt.oneHostRun(k, true, func(h *host.Host) Measure {
+		nicBW, _, nicReset := addRDMADevice(h, k.q)
+		h.Eng.RunUntil(opt.Warmup)
+		h.ResetStats()
+		nicReset()
+		h.Eng.RunUntil(opt.Warmup + opt.Window)
+		m := snapshot(h)
+		m.P2MBW = nicBW()
+		return m
+	})
+}
+
 // RDMAQuadrantPoint extends a quadrant point with RoCE/PFC observables.
 type RDMAQuadrantPoint struct {
 	QuadrantPoint
@@ -37,17 +55,7 @@ type RDMAQuadrantPoint struct {
 // NIC-only baseline and the per-count points run on the options' pool.
 func RunRDMAQuadrant(q Quadrant, coreCounts []int, opt Options) []RDMAQuadrantPoint {
 	var p2mIso Measure
-	pts := sweep(opt, coreCounts, func() {
-		// NIC-only baseline.
-		p2m := opt.newHost()
-		nicBW, _, nicReset := addRDMADevice(p2m, q)
-		p2m.Eng.RunUntil(opt.Warmup)
-		p2m.ResetStats()
-		nicReset()
-		p2m.Eng.RunUntil(opt.Warmup + opt.Window)
-		p2mIso = snapshot(p2m)
-		p2mIso.P2MBW = nicBW()
-	}, func(_, n int) RDMAQuadrantPoint {
+	pts := sweep(opt, coreCounts, func() { p2mIso = rdmaBaseline(opt, q) }, func(_, n int) RDMAQuadrantPoint {
 		var p RDMAQuadrantPoint
 		p.Quadrant, p.Cores = q, n
 		p.C2MIso = quadrantRun(opt, q, n, false)

@@ -15,10 +15,10 @@ import (
 // simulation whose construction does not depend on its position in the
 // sweep. That holds for quadrant, rdma, faultsweep and crossval (points are
 // built from (quadrant, core count) alone — the shared isolated baseline
-// each sub-run recomputes is the very same deterministic simulation, so the
-// recomputed Measure is bit-equal to the shared one) and for incast (each
-// degree is its own rack; FabricSpec.Degree pins a single one); their
-// registry entries carry the split and merge funcs. It does NOT
+// each sub-run needs is the very same deterministic simulation, so a
+// recomputed or run-cache-shared Measure is bit-equal to the sweep's) and
+// for incast (each degree is its own rack; FabricSpec.Degree pins a single
+// one); their registry entries carry the split and merge funcs. It does NOT
 // hold for ratio: its workload seeds mix in the point's index within the
 // write-fraction sweep (see RunRatioSweep), so a one-point sub-run would
 // seed differently and diverge. Fixed figures (fig1..fig29) and the

@@ -70,7 +70,9 @@ func addP2MDevice(h *host.Host, q Quadrant) {
 // and quadrant pairs share the two device baselines — so RunFig3 runs each
 // unique key once and reuses the measured result, cutting the 4x13 logical
 // runs to 38 simulations without changing a byte of output. Keys name the
-// first quadrant (Q1, then Q2/Q3) whose workloads the run uses.
+// first quadrant (Q1, then Q2/Q3) whose workloads the run uses. Across
+// Options values and jobs, Options.Runs extends the same sharing, with the
+// host config added to the key.
 type runKey struct {
 	q      Quadrant
 	cores  int  // C2M cores (0 = device-only baseline)
@@ -93,19 +95,29 @@ func p2mRunKey(q Quadrant) runKey {
 
 func coRunKey(q Quadrant, cores int) runKey { return runKey{q, cores, true} }
 
-// run executes the keyed simulation from scratch and measures its window.
-func (k runKey) run(opt Options) Measure { return quadrantRun(opt, k.q, k.cores, k.device) }
+// run measures the keyed simulation's window, from opt.Runs when an
+// earlier lookup already ran it. The host is built from the key alone.
+func (k runKey) run(opt Options) Measure {
+	return opt.oneHostRun(k, false, func(h *host.Host) Measure {
+		addC2MCores(h, k.q, k.cores)
+		if k.device {
+			addP2MDevice(h, k.q)
+		}
+		h.Run(opt.Warmup, opt.Window)
+		return snapshot(h)
+	})
+}
 
 // quadrantRun measures one host running the quadrant's compute workload on
 // cores C2M cores and, with device set, its bulk FIO device.
 func quadrantRun(opt Options, q Quadrant, cores int, device bool) Measure {
-	h := opt.newHost()
-	addC2MCores(h, q, cores)
-	if device {
-		addP2MDevice(h, q)
+	switch {
+	case !device:
+		return isoRunKey(q, cores).run(opt)
+	case cores == 0:
+		return p2mRunKey(q).run(opt)
 	}
-	h.Run(opt.Warmup, opt.Window)
-	return snapshot(h)
+	return coRunKey(q, cores).run(opt)
 }
 
 // QuadrantPoint is one (quadrant, C2M core count) data point: the isolated

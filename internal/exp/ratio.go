@@ -27,12 +27,7 @@ func (p RatioPoint) P2MDegradation() float64 { return degradation(p.P2MIso, p.P2
 // regime emerging as a function of a single workload knob.
 func RunRatioSweep(cores int, fracs []float64, opt Options) []RatioPoint {
 	var p2mIso float64
-	pts := sweep(opt, fracs, func() {
-		p2mIsoHost := opt.newHost()
-		addP2MDevice(p2mIsoHost, Q1)
-		p2mIsoHost.Run(opt.Warmup, opt.Window)
-		p2mIso = p2mIsoHost.P2MBW()
-	}, func(i int, f float64) RatioPoint {
+	pts := sweep(opt, fracs, func() { p2mIso = quadrantRun(opt, Q1, 0, true).P2MBW }, func(i int, f float64) RatioPoint {
 		p := RatioPoint{WriteFrac: f, Cores: cores}
 
 		iso := opt.newHost()

@@ -169,7 +169,9 @@ func appendSlice[T any](head, part any) {
 
 // splitCores shards a core-count sweep: one sub-spec per count. Every
 // point is built from (quadrant, count) alone, and the shared isolated
-// baseline each sub-run recomputes is the same deterministic simulation.
+// baseline every sub-run needs is the same deterministic simulation: a
+// worker with a run cache (Options.Runs, one per hostnetd life) simulates
+// it once, and one without recomputes it.
 func splitCores(n Spec) []Spec {
 	if len(n.Cores) < 2 {
 		return nil

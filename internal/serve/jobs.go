@@ -297,6 +297,10 @@ type manager struct {
 	// completed crossval jobs and by background refinement comparisons.
 	cv *crossvalTracker
 
+	// runs shares one-host simulations across every job of this daemon
+	// life: point specs of one sweep need the same isolated baselines.
+	runs *exp.RunCache
+
 	queue chan *Job
 	wg    sync.WaitGroup
 
@@ -317,6 +321,7 @@ func newManager(cfg Config, met *metrics) *manager {
 		tenants:    make(map[string]int),
 		refine:     make(map[string][]byte),
 		cv:         newCrossvalTracker(),
+		runs:       exp.NewRunCache(),
 		queue:      make(chan *Job, cfg.QueueDepth),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -500,6 +505,7 @@ func (m *manager) run(j *Job) {
 	opt.Audit = m.cfg.Audit
 	opt.BaseCtx = ctx
 	opt.Progress = j.bumpProgress
+	opt.Runs = m.runs
 
 	start := time.Now()
 	var out []byte

@@ -110,6 +110,13 @@ func (m *metrics) writeProm(w io.Writer, mgr *manager) {
 	counter("hostnetd_refine_enqueued_total", "Sim twins enqueued behind analytic answers for cross-validation.", m.refineEnqueued.Load())
 	counter("hostnetd_refine_skipped_total", "Refinements skipped under queue pressure or window cost.", m.refineSkipped.Load())
 
+	rs := mgr.runs.Stats()
+	counter("hostnetd_runcache_hits_total", "One-host runs served from the run cache.", rs.Hits)
+	counter("hostnetd_runcache_waits_total", "One-host run lookups that waited for another job's identical run.", rs.Waits)
+	counter("hostnetd_runcache_misses_total", "One-host runs simulated and offered to the run cache.", rs.Misses)
+	counter("hostnetd_runcache_evictions_total", "Runs evicted to stay under the run cache's entry cap.", rs.Evictions)
+	gauge("hostnetd_runcache_entries", "One-host runs held in the run cache.", rs.Entries)
+
 	if cv := mgr.cv; cv != nil {
 		regions := cv.snapshot()
 		gauge("hostnetd_crossval_regions", "Config-space regions with analytic-vs-sim error observations.", len(regions))

@@ -442,3 +442,39 @@ func TestStateAndOutcomeStrings(t *testing.T) {
 		t.Fatalf("outcome names wrong")
 	}
 }
+
+// Jobs of one daemon life share one-host runs: an rdma point after a
+// quadrant point reuses the quadrant's C2M-alone run, and both results
+// keep the bytes of an uncached run.
+func TestRunCacheSharedAcrossJobs(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	h := s.Handler()
+	for _, spec := range []exp.Spec{
+		{Experiment: "quadrant", Quadrant: 1, Cores: []int{2}, WarmupNs: 1000, WindowNs: 2000},
+		{Experiment: "rdma", Quadrant: 2, Cores: []int{2}, WarmupNs: 1000, WindowNs: 2000},
+	} {
+		rec, st := postSpec(t, h, spec)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %s: code %d body %s", spec.Experiment, rec.Code, rec.Body.Bytes())
+		}
+		want, err := exp.RunSpecJSON(spec, exp.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustResult(t, h, st.ID); !bytes.Equal(got, want) {
+			t.Fatalf("%s result differs from an uncached run", spec.Experiment)
+		}
+	}
+	body := get(h, "/metrics").Body.String()
+	for _, want := range []string{
+		"hostnetd_runcache_hits_total 1\n",
+		"hostnetd_runcache_waits_total 0\n",
+		"hostnetd_runcache_misses_total 4\n",
+		"hostnetd_runcache_evictions_total 0\n",
+		"hostnetd_runcache_entries 4\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
