@@ -73,7 +73,7 @@ func realMain(args []string) int {
 	addr := fs.String("addr", ":8080", "listen address")
 	queue := fs.Int("queue", 64, "bounded job queue depth (full queue sheds load with 429)")
 	workers := fs.Int("workers", 2, "jobs executed concurrently")
-	parallel := fs.Int("parallel", 0, "sweep-pool width inside one job (0 = one goroutine per point)")
+	parallel := fs.Int("parallel", 0, "sweep-pool width inside one job (0 = GOMAXPROCS)")
 	jobTimeout := fs.Duration("job-timeout", 15*time.Minute, "per-job wall-clock timeout")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	cacheBytes := fs.Int64("cache-bytes", 256<<20, "result cache byte cap")

@@ -20,8 +20,6 @@ type (
 	ResultStore = store.Store
 	// StoreConfig tunes a ResultStore.
 	StoreConfig = store.Config
-	// StoreStats is a point-in-time snapshot of a store's counters.
-	StoreStats = store.Stats
 	// FleetCoordinator fans sweeps out to a pool of worker hostnetds.
 	FleetCoordinator = fleet.Coordinator
 	// FleetConfig tunes a FleetCoordinator (workers, attempt budget,
@@ -29,8 +27,6 @@ type (
 	FleetConfig = fleet.Config
 	// FleetWorker names one worker daemon (base URL + in-flight bound).
 	FleetWorker = fleet.Worker
-	// FleetWorkerStats is one worker's dispatch counters.
-	FleetWorkerStats = fleet.WorkerStats
 )
 
 // OpenStore opens (creating if needed) a persistent result store rooted at

@@ -1,10 +1,14 @@
 package hostnet_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/hostnet"
+	"repro/internal/exp"
 )
 
 // The public API end to end: the quickstart flow must reproduce the blue
@@ -44,34 +48,42 @@ func TestPublicDomainsAndExplain(t *testing.T) {
 func TestPublicWorkloadConstructors(t *testing.T) {
 	h := hostnet.New(hostnet.CascadeLake())
 	h.AddCore(hostnet.SeqReadWrite(h.Region(1<<30), 1<<30))
-	h.AddCore(hostnet.RandRead(h.Region(1<<30), 1<<30, 7))
-	h.AddCore(hostnet.MixedRandom(h.Region(1<<30), 1<<30, 0.2, 10*hostnet.Nanosecond, 9))
 	h.Run(10*hostnet.Microsecond, 20*hostnet.Microsecond)
 	if h.C2MBW() <= 0 {
 		t.Fatalf("no progress through public constructors")
 	}
 }
 
-func TestPublicPrefetcherAndHostCC(t *testing.T) {
-	cfg := hostnet.CascadeLake()
-	cfg.Core.Prefetch = hostnet.DefaultPrefetcher()
-	h := hostnet.New(cfg)
-	h.AddCore(hostnet.SeqRead(h.Region(1<<30), 1<<30))
-	ctl := hostnet.NewHostCC(h, hostnet.DefaultHostCCConfig())
-	ctl.Start(0)
-	h.Run(10*hostnet.Microsecond, 30*hostnet.Microsecond)
-	if h.C2MBW() <= 11e9 {
-		t.Fatalf("prefetch-enabled core at %.1f GB/s, want above the non-prefetch ~10.8", h.C2MBW()/1e9)
+// Every registered experiment is reachable through the generic job path,
+// from the JSON form hostnetd accepts: nested sections and the analytic
+// tier included.
+func TestPublicJobSpecReachesEveryExperiment(t *testing.T) {
+	var specs []string
+	for _, name := range exp.Experiments() {
+		specs = append(specs, fmt.Sprintf(`{"experiment":%q,"warmup_ns":1000,"window_ns":2000}`, name))
 	}
-	if ctl.Congested.Frac() != 0 {
-		t.Fatalf("controller congested with no P2M traffic")
-	}
-}
-
-func TestRenderHelpers(t *testing.T) {
-	var sb strings.Builder
-	hostnet.RenderTable1(&sb)
-	if !strings.Contains(sb.String(), "CascadeLake") {
-		t.Fatalf("table1 render missing content")
+	specs = append(specs,
+		`{"experiment":"quadrant","fidelity":"analytic","quadrant":3,"cores":[2]}`,
+		`{"experiment":"fig18","warmup_ns":1000,"window_ns":2000,
+		  "faults":[{"kind":"pfc_pause_storm","start_ns":1500,"duration_ns":500}]}`,
+		`{"experiment":"incast","warmup_ns":1000,"window_ns":2000,"fabric":{"hosts":4,"partitioned":true}}`)
+	for _, raw := range specs {
+		dec := json.NewDecoder(strings.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var spec hostnet.JobSpec
+		if err := dec.Decode(&spec); err != nil {
+			t.Fatalf("%s: decode: %v", raw, err)
+		}
+		b, err := hostnet.RunJobJSON(spec, hostnet.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		want, err := spec.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(b, want) {
+			t.Errorf("%s: result does not carry its canonical spec %s", raw, want)
+		}
 	}
 }

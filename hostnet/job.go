@@ -1,10 +1,6 @@
 package hostnet
 
-import (
-	"context"
-
-	"repro/internal/exp"
-)
+import "repro/internal/exp"
 
 // JobSpec is the machine-readable description of one experiment job — the
 // public currency of the hostnetd daemon and `hostnetsim -format json`.
@@ -12,38 +8,18 @@ import (
 // JobSpec fully determines its result; hostnetd content-addresses results
 // by JobSpec.Hash (SHA-256 of the canonical encoding) and serves repeated
 // or concurrent identical submissions from one underlying simulation.
+//
+// A JobSpec names any registered experiment. Its JSON form is the one
+// hostnetd accepts, so a spec's nested sections (faults, fabric) and the
+// analytic tier ("fidelity": "analytic") are set by decoding that form.
 type JobSpec = exp.Spec
 
-// JobResult is the JSON envelope a completed job produces: the normalized
-// spec followed by the experiment's structured result.
-type JobResult = exp.Result
-
-// JobExperiments lists the experiment names a JobSpec may carry.
-func JobExperiments() []string { return exp.Experiments() }
-
-// RunJob executes a job spec with the given execution options and returns
-// the experiment's structured result (the same value the typed Run*
-// functions return). The result depends only on the spec; opt supplies
-// execution-only behavior (parallelism, audit, cancellation, progress).
-func RunJob(spec JobSpec, opt Options) (any, error) { return exp.RunSpec(spec, opt) }
-
-// RunJobJSON executes a job spec and returns the canonical JSON JobResult
-// bytes — byte-identical across the CLI, the daemon, repeat runs, and any
-// parallelism setting.
+// RunJobJSON executes a job spec and returns the canonical JSON result
+// bytes — the normalized spec followed by the experiment's structured
+// result, byte-identical across the CLI, the daemon, repeat runs, and any
+// parallelism setting. opt supplies execution-only behavior (parallelism,
+// audit, cancellation, progress).
 func RunJobJSON(spec JobSpec, opt Options) ([]byte, error) { return exp.RunSpecJSON(spec, opt) }
-
-// NewJobResultValue returns a pointer to the zero value of the experiment's
-// concrete result type, for decoding a JobResult payload back into typed
-// form (nil for unknown experiment names).
-func NewJobResultValue(experiment string) any { return exp.NewResultValue(experiment) }
-
-// WithContext returns opt bounded by ctx: once ctx is done, multi-point
-// sweeps stop launching new points and surface the cancellation. An
-// individual simulation point is never interrupted mid-run.
-func WithContext(opt Options, ctx context.Context) Options {
-	opt.BaseCtx = ctx
-	return opt
-}
 
 // SplitJob splits a multi-point sweep spec into one independently
 // content-addressed sub-spec per sweep point, in sweep order, or returns
@@ -53,7 +29,7 @@ func WithContext(opt Options, ctx context.Context) Options {
 // bytes exactly — the contract the fleet coordinator is built on.
 func SplitJob(spec JobSpec) []JobSpec { return spec.Points() }
 
-// MergeJobResults reassembles the per-point JobResult bytes produced by
+// MergeJobResults reassembles the per-point result bytes produced by
 // running each of SplitJob's sub-specs (in order) into bytes identical to
 // a single-node RunJobJSON of the parent spec. Each part is verified
 // against its expected sub-spec hash first.

@@ -115,7 +115,7 @@ func TestViolationTimestamp(t *testing.T) {
 		}
 		return true, ""
 	})
-	eng.At(40*sim.Nanosecond, func() { broken = true; a.CheckNow() })
+	eng.AtFunc(40*sim.Nanosecond, func(any) { broken = true; a.CheckNow() }, nil)
 	eng.Run()
 	vs := a.Violations()
 	if len(vs) != 1 || vs[0].At != 40*sim.Nanosecond {
@@ -150,7 +150,7 @@ func TestEventCadence(t *testing.T) {
 	evals := 0
 	a.Check("d", "c", func() (bool, string) { evals++; return true, "" })
 	for i := 1; i <= 10; i++ {
-		eng.At(sim.Time(i), func() {})
+		eng.AtFunc(sim.Time(i), func(any) {}, nil)
 	}
 	eng.Run()
 	if evals != 2 { // after events 4 and 8
@@ -167,8 +167,8 @@ func TestLatencyCrossCheckAgrees(t *testing.T) {
 	const d = 70 * sim.Nanosecond
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 10 * sim.Nanosecond
-		eng.At(at, l.Enter)
-		eng.At(at+d, l.Exit)
+		eng.AtFunc(at, func(any) { l.Enter() }, nil)
+		eng.AtFunc(at+d, func(any) { l.Exit() }, nil)
 	}
 	eng.Run()
 	a.CheckEnd()
@@ -194,16 +194,16 @@ func TestLatencyCrossCheckCatchesLeak(t *testing.T) {
 	const d = 10 * sim.Nanosecond
 	for i := 0; i < 50; i++ {
 		at := sim.Time(i) * 20 * sim.Nanosecond
-		eng.At(at, l.Enter)
-		eng.At(at+d, l.Exit)
+		eng.AtFunc(at, func(any) { l.Enter() }, nil)
+		eng.AtFunc(at+d, func(any) { l.Exit() }, nil)
 	}
 	// The leak: 50 requests enter at 1 us and are never completed.
-	eng.At(sim.Microsecond, func() {
+	eng.AtFunc(sim.Microsecond, func(any) {
 		for i := 0; i < 50; i++ {
 			l.Enter()
 		}
-	})
-	eng.At(10*sim.Microsecond, func() {}) // let the leaked occupancy accrue
+	}, nil)
+	eng.AtFunc(10*sim.Microsecond, func(any) {}, nil) // let the leaked occupancy accrue
 	eng.Run()
 	a.CheckEnd()
 	vs := a.Violations()
@@ -229,10 +229,10 @@ func TestLatencyDegenerateWindow(t *testing.T) {
 	a := New(eng, Config{Enabled: true, MinSamples: 1})
 	l := telemetry.NewLatency(eng)
 	a.Latency("cxl", "read_lat", l)
-	eng.At(0, l.Enter)
-	eng.At(10*sim.Nanosecond, func() { l.Reset() }) // window starts: request in flight
-	eng.At(50*sim.Nanosecond, l.Exit)
-	eng.At(100*sim.Nanosecond, func() {})
+	eng.AtFunc(0, func(any) { l.Enter() }, nil)
+	eng.AtFunc(10*sim.Nanosecond, func(any) { l.Reset() }, nil) // window starts: request in flight
+	eng.AtFunc(50*sim.Nanosecond, func(any) { l.Exit() }, nil)
+	eng.AtFunc(100*sim.Nanosecond, func(any) {}, nil)
 	eng.Run()
 	a.CheckEnd()
 	vs := a.Violations()

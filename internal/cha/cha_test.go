@@ -49,7 +49,7 @@ func TestC2MReadEndToEndLatency(t *testing.T) {
 	var done sim.Time = -1
 	rd := req(1, 0, mem.Read, mem.C2M, 0)
 	rd.Done = func(*mem.Request) { done = r.eng.Now() }
-	r.eng.At(0, func() { r.cha.Submit(rd) })
+	r.eng.AtFunc(0, func(any) { r.cha.Submit(rd) }, nil)
 	r.eng.Run()
 	// Proc 2 + ToMC 5 + (ACT 15 + CAS 15 + burst 3) + FromMC 20 + ToCore 18 = 78.
 	if done != 78*sim.Nanosecond {
@@ -62,7 +62,7 @@ func TestC2MWriteDoneAtAdmission(t *testing.T) {
 	var done sim.Time = -1
 	wr := req(1, 0, mem.Write, mem.C2M, 0)
 	wr.Done = func(*mem.Request) { done = r.eng.Now() }
-	r.eng.At(10*sim.Nanosecond, func() { r.cha.Submit(wr) })
+	r.eng.AtFunc(10*sim.Nanosecond, func(any) { r.cha.Submit(wr) }, nil)
 	r.eng.Run()
 	// Admission is immediate when entries are free: Done at submit time.
 	if done != 10*sim.Nanosecond {
@@ -75,7 +75,7 @@ func TestP2MWriteDoneAtWPQAdmission(t *testing.T) {
 	var done sim.Time = -1
 	wr := req(1, 0, mem.Write, mem.P2M, 0)
 	wr.Done = func(*mem.Request) { done = r.eng.Now() }
-	r.eng.At(0, func() { r.cha.Submit(wr) })
+	r.eng.AtFunc(0, func(any) { r.cha.Submit(wr) }, nil)
 	r.eng.Run()
 	// Proc 2 + ToMC 5, WPQ has space: Done at 7ns — later than a C2M write
 	// but far earlier than the DRAM write itself completes.
@@ -92,13 +92,13 @@ func TestP2MWriteBlockedByFullWPQ(t *testing.T) {
 	mcCfg.DrainBatch = 2
 	r := newRig(mcCfg, DefaultConfig(), nil)
 	var doneTimes []sim.Time
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 6; i++ {
 			wr := req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0)
 			wr.Done = func(*mem.Request) { doneTimes = append(doneTimes, r.eng.Now()) }
 			r.cha.Submit(wr)
 		}
-	})
+	}, nil)
 	r.eng.Run()
 	if len(doneTimes) != 6 {
 		t.Fatalf("completed %d of 6", len(doneTimes))
@@ -127,7 +127,7 @@ func TestWriteEntriesExhaustionStallsIngress(t *testing.T) {
 	chaCfg.WriteEntries = 2
 	r := newRig(mcCfg, chaCfg, nil)
 	var readDone sim.Time = -1
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		// 2 in WPQ + 2 in CHA write entries, then more writes to clog the
 		// ingress, then a read behind them.
 		for i := 0; i < 8; i++ {
@@ -136,7 +136,7 @@ func TestWriteEntriesExhaustionStallsIngress(t *testing.T) {
 		rd := req(100, 4096, mem.Read, mem.C2M, 0)
 		rd.Done = func(*mem.Request) { readDone = r.eng.Now() }
 		r.cha.Submit(rd)
-	})
+	}, nil)
 	r.eng.Run()
 	if readDone < 0 {
 		t.Fatalf("read never completed")
@@ -157,13 +157,13 @@ func TestReadRetryOnFullRPQ(t *testing.T) {
 	mcCfg.RPQCap = 2
 	r := newRig(mcCfg, DefaultConfig(), nil)
 	done := 0
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 20; i++ {
 			rd := req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Read, mem.C2M, 0)
 			rd.Done = func(*mem.Request) { done++ }
 			r.cha.Submit(rd)
 		}
-	})
+	}, nil)
 	r.eng.Run()
 	if done != 20 {
 		t.Fatalf("completed %d of 20 with a tiny RPQ", done)
@@ -179,8 +179,8 @@ func TestDDIOReadHitAvoidsMemory(t *testing.T) {
 	wr := req(1, 0x1000, mem.Write, mem.P2M, 0)
 	rd := req(2, 0x1000, mem.Read, mem.P2M, 0)
 	rd.Done = func(*mem.Request) { rdDone = r.eng.Now() }
-	r.eng.At(0, func() { r.cha.Submit(wr) })
-	r.eng.At(100*sim.Nanosecond, func() { r.cha.Submit(rd) })
+	r.eng.AtFunc(0, func(any) { r.cha.Submit(wr) }, nil)
+	r.eng.AtFunc(100*sim.Nanosecond, func(any) { r.cha.Submit(rd) }, nil)
 	r.eng.Run()
 	// Proc 2 + LLC hit 20 + ToIIO 18 = 40ns after submit.
 	if rdDone != 140*sim.Nanosecond {
@@ -201,13 +201,13 @@ func TestDDIOWriteCompletesAtLLCAndEvicts(t *testing.T) {
 	r := newRig(mcCfg, DefaultConfig(), ddio)
 	completions := 0
 	const n = 64
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < n; i++ {
 			wr := req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0)
 			wr.Done = func(*mem.Request) { completions++ }
 			r.cha.Submit(wr)
 		}
-	})
+	}, nil)
 	r.eng.Run()
 	if completions != n {
 		t.Fatalf("completed %d of %d", completions, n)
@@ -231,7 +231,7 @@ func TestC2MHitRatioBypassesMemory(t *testing.T) {
 	var done sim.Time = -1
 	rd := req(1, 0, mem.Read, mem.C2M, 0)
 	rd.Done = func(*mem.Request) { done = r.eng.Now() }
-	r.eng.At(0, func() { r.cha.Submit(rd) })
+	r.eng.AtFunc(0, func(any) { r.cha.Submit(rd) }, nil)
 	r.eng.Run()
 	// Proc 2 + LLC 20 + ToCore 18 = 40ns.
 	if done != 40*sim.Nanosecond {
@@ -247,11 +247,11 @@ func TestC2MHitRatioBypassesMemory(t *testing.T) {
 
 func TestP2MReadsInflightTracking(t *testing.T) {
 	r := defaultRig()
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 5; i++ {
 			r.cha.Submit(req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Read, mem.P2M, 0))
 		}
-	})
+	}, nil)
 	r.eng.Run()
 	st := r.cha.Stats()
 	if st.P2MReadsInflight.Max() != 5 {
@@ -269,11 +269,11 @@ func TestWBacklogIntegrator(t *testing.T) {
 	mcCfg.WPQHigh = 2
 	mcCfg.DrainBatch = 2
 	r := newRig(mcCfg, DefaultConfig(), nil)
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
 			r.cha.Submit(req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0))
 		}
-	})
+	}, nil)
 	r.eng.Run()
 	st := r.cha.Stats()
 	if st.WBacklog.Max() < 4 {
@@ -286,10 +286,10 @@ func TestWBacklogIntegrator(t *testing.T) {
 
 func TestWriteMCLatProbes(t *testing.T) {
 	r := defaultRig()
-	r.eng.At(0, func() {
+	r.eng.AtFunc(0, func(any) {
 		r.cha.Submit(req(1, 0, mem.Write, mem.C2M, 0))
 		r.cha.Submit(req(2, 64, mem.Write, mem.P2M, 0))
-	})
+	}, nil)
 	r.eng.Run()
 	st := r.cha.Stats()
 	if st.WriteMCLat[mem.C2M].AvgNanos() <= 0 || st.WriteMCLat[mem.P2M].AvgNanos() <= 0 {
@@ -299,7 +299,7 @@ func TestWriteMCLatProbes(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	r := defaultRig()
-	r.eng.At(0, func() { r.cha.Submit(req(1, 0, mem.Read, mem.C2M, 0)) })
+	r.eng.AtFunc(0, func(any) { r.cha.Submit(req(1, 0, mem.Read, mem.C2M, 0)) }, nil)
 	r.eng.Run()
 	st := r.cha.Stats()
 	st.Reset()

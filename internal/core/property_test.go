@@ -27,7 +27,7 @@ type randomSink struct {
 
 func (s *randomSink) Submit(r *mem.Request) {
 	d := sim.Time(1+s.rng.IntN(400)) * sim.Nanosecond
-	s.eng.After(d, func() { r.Done(r) })
+	s.eng.AfterFunc(d, func(any) { r.Done(r) }, nil)
 }
 
 func TestCreditConservationUnderRandomTraffic(t *testing.T) {
@@ -60,7 +60,7 @@ func TestCreditConservationUnderRandomTraffic(t *testing.T) {
 			at := sim.Time(rng.IntN(2000)) * sim.Nanosecond
 			write := rng.IntN(2) == 0
 			addr := mem.Addr(rng.Uint64() % (1 << 34))
-			eng.At(at, func() {
+			eng.AtFunc(at, func(any) {
 				check()
 				if write {
 					if io.TryWrite(addr, 0, check) {
@@ -72,7 +72,7 @@ func TestCreditConservationUnderRandomTraffic(t *testing.T) {
 					}
 				}
 				check()
-			})
+			}, nil)
 		}
 		eng.Run()
 

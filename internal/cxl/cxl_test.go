@@ -13,7 +13,7 @@ func TestUnloadedReadLatency(t *testing.T) {
 	var done sim.Time = -1
 	r := &mem.Request{Addr: 0, Kind: mem.Read, TAlloc: 0}
 	r.Done = func(*mem.Request) { done = eng.Now() }
-	eng.At(0, func() { e.Submit(r) })
+	eng.AtFunc(0, func(any) { e.Submit(r) }, nil)
 	eng.Run()
 	// link 85 + proc 10 + MC cold (~33 with default timing) + serialize 2 +
 	// link 85 ~= 215 ns.
@@ -31,7 +31,7 @@ func TestWritePostedAtDevice(t *testing.T) {
 	var done sim.Time = -1
 	r := &mem.Request{Addr: 0, Kind: mem.Write, TAlloc: 0}
 	r.Done = func(*mem.Request) { done = eng.Now() }
-	eng.At(0, func() { e.Submit(r) })
+	eng.AtFunc(0, func(any) { e.Submit(r) }, nil)
 	eng.Run()
 	// serialize 2 + link 85 + proc 10 + ack link 85 = 182 ns: completion does
 	// not wait for DRAM.
@@ -47,13 +47,13 @@ func TestLinkSerializesReads(t *testing.T) {
 	eng := sim.New()
 	e := New(eng, DefaultConfig())
 	var doneTimes []sim.Time
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 4; i++ {
 			r := &mem.Request{Addr: mem.Addr(i * mem.LineSize), Kind: mem.Read}
 			r.Done = func(*mem.Request) { doneTimes = append(doneTimes, eng.Now()) }
 			e.Submit(r)
 		}
-	})
+	}, nil)
 	eng.Run()
 	if len(doneTimes) != 4 {
 		t.Fatalf("completed %d of 4", len(doneTimes))
@@ -72,13 +72,13 @@ func TestBackpressureRetries(t *testing.T) {
 	cfg.MC.RPQCap = 2
 	e := New(eng, cfg)
 	done := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 30; i++ {
 			r := &mem.Request{Addr: mem.Addr(i * mem.LineSize), Kind: mem.Read}
 			r.Done = func(*mem.Request) { done++ }
 			e.Submit(r)
 		}
-	})
+	}, nil)
 	eng.Run()
 	if done != 30 {
 		t.Fatalf("completed %d of 30 under a tiny RPQ", done)

@@ -54,11 +54,11 @@ func TestSingleReadColdBankLatency(t *testing.T) {
 	cl := &fakeClient{}
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
 	r := newRead(1, 0, mem.C2M)
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		if !c.TryEnqueue(r) {
 			t.Fatalf("enqueue failed")
 		}
-	})
+	}, nil)
 	eng.Run()
 	// Cold bank: ACT (15) + CAS (15) + burst (3) = 33 ns.
 	want := 33 * sim.Nanosecond
@@ -77,8 +77,8 @@ func TestRowHitLatency(t *testing.T) {
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
 	r1 := newRead(1, 0, mem.C2M)
 	r2 := newRead(2, 64, mem.C2M) // same row, next line
-	eng.At(0, func() { c.TryEnqueue(r1) })
-	eng.At(40*sim.Nanosecond, func() { c.TryEnqueue(r2) })
+	eng.AtFunc(0, func(any) { c.TryEnqueue(r1) }, nil)
+	eng.AtFunc(40*sim.Nanosecond, func(any) { c.TryEnqueue(r2) }, nil)
 	eng.Run()
 	// Row open: CAS (15) + burst (3) = 18 ns after enqueue.
 	if got := r2.TBurst - r2.TMCEnq; got != 18*sim.Nanosecond {
@@ -99,8 +99,8 @@ func TestRowConflictLatency(t *testing.T) {
 	conflict := mem.Addr(m.RowLines()*m.Banks()) * mem.LineSize
 	r1 := newRead(1, 0, mem.C2M)
 	r2 := newRead(2, conflict, mem.C2M)
-	eng.At(0, func() { c.TryEnqueue(r1) })
-	eng.At(40*sim.Nanosecond, func() { c.TryEnqueue(r2) })
+	eng.AtFunc(0, func(any) { c.TryEnqueue(r1) }, nil)
+	eng.AtFunc(40*sim.Nanosecond, func(any) { c.TryEnqueue(r2) }, nil)
 	eng.Run()
 	// Conflict: PRE (15) + ACT (15) + CAS (15) + burst (3) = 48 ns.
 	if got := r2.TBurst - r2.TMCEnq; got != 48*sim.Nanosecond {
@@ -121,18 +121,18 @@ func TestSequentialReadsSaturateChannel(t *testing.T) {
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
 	const n = 64 // one row's worth: all hits after the first
 	issued := 0
-	var enqueue func()
-	enqueue = func() {
+	var enqueue func(any)
+	enqueue = func(any) {
 		for issued < n {
 			r := newRead(uint64(issued), mem.Addr(issued)*mem.LineSize, mem.C2M)
 			if !c.TryEnqueue(r) {
-				eng.After(10*sim.Nanosecond, enqueue)
+				eng.AfterFunc(10*sim.Nanosecond, enqueue, nil)
 				return
 			}
 			issued++
 		}
 	}
-	eng.At(0, enqueue)
+	eng.AtFunc(0, enqueue, nil)
 	eng.Run()
 	if len(cl.reads) != n {
 		t.Fatalf("completed %d of %d", len(cl.reads), n)
@@ -152,13 +152,13 @@ func TestRPQCapacity(t *testing.T) {
 	cfg.RPQCap = 4
 	c := New(eng, cfg, singleChannelMapper(), &fakeClient{})
 	accepted := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
 			if c.TryEnqueue(newRead(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				accepted++
 			}
 		}
-	})
+	}, nil)
 	eng.RunUntil(0)
 	if accepted != 4 {
 		t.Fatalf("accepted %d, want 4", accepted)
@@ -174,7 +174,7 @@ func TestWPQCapacityAndFullTimer(t *testing.T) {
 	cl := &fakeClient{}
 	c := New(eng, cfg, singleChannelMapper(), cl)
 	accepted := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
 			if c.TryEnqueue(newWrite(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				accepted++
@@ -183,7 +183,7 @@ func TestWPQCapacityAndFullTimer(t *testing.T) {
 		if !c.Stats().WPQFull.On() {
 			t.Errorf("WPQ full condition not set")
 		}
-	})
+	}, nil)
 	eng.Run()
 	if accepted != 4 {
 		t.Fatalf("accepted %d, want 4", accepted)
@@ -211,19 +211,19 @@ func TestWriteDrainSwitchesModes(t *testing.T) {
 	acceptedReads, acceptedWrites := 0, 0
 	for i := 0; i < 200; i++ {
 		i := i
-		eng.At(sim.Time(i)*3*sim.Nanosecond, func() {
+		eng.AtFunc(sim.Time(i)*3*sim.Nanosecond, func(any) {
 			if c.TryEnqueue(newRead(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				acceptedReads++
 			}
-		})
+		}, nil)
 	}
 	for i := 0; i < 20; i++ {
 		i := i
-		eng.At(sim.Time(i)*10*sim.Nanosecond, func() {
+		eng.AtFunc(sim.Time(i)*10*sim.Nanosecond, func(any) {
 			if c.TryEnqueue(newWrite(uint64(1000+i), mem.Addr(1<<20+i*mem.LineSize), mem.P2M)) {
 				acceptedWrites++
 			}
-		})
+		}, nil)
 	}
 	eng.Run()
 	st := c.Stats()
@@ -245,11 +245,11 @@ func TestPureWriteWorkloadDrains(t *testing.T) {
 	eng := sim.New()
 	cl := &fakeClient{}
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
 			c.TryEnqueue(newWrite(uint64(i), mem.Addr(i)*mem.LineSize, mem.P2M))
 		}
-	})
+	}, nil)
 	eng.Run()
 	if cl.freed != 10 {
 		t.Fatalf("pure write workload drained %d of 10", cl.freed)
@@ -264,9 +264,9 @@ func TestReadLatencyLittlesLaw(t *testing.T) {
 	// fresh banks; using the same row keeps it 18ns after the first.
 	for i := 0; i < 50; i++ {
 		i := i
-		eng.At(sim.Time(i)*100*sim.Nanosecond, func() {
+		eng.AtFunc(sim.Time(i)*100*sim.Nanosecond, func(any) {
 			c.TryEnqueue(newRead(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M))
-		})
+		}, nil)
 	}
 	eng.Run()
 	got := c.Stats().ReadLat.AvgNanos()
@@ -284,8 +284,8 @@ func TestBankDeviationSampling(t *testing.T) {
 	c := New(eng, cfg, m, &fakeClient{})
 	rowStride := mem.Addr(m.RowLines()) * mem.LineSize // next bank
 	issued := 0
-	var enqueue func()
-	enqueue = func() {
+	var enqueue func(any)
+	enqueue = func(any) {
 		for issued < 400 {
 			// Skewed load: 75% of requests to bank 0, rest spread.
 			var a mem.Addr
@@ -295,13 +295,13 @@ func TestBankDeviationSampling(t *testing.T) {
 				a = rowStride * mem.Addr(1+issued%8)
 			}
 			if !c.TryEnqueue(newRead(uint64(issued), a, mem.C2M)) {
-				eng.After(30*sim.Nanosecond, enqueue)
+				eng.AfterFunc(30*sim.Nanosecond, enqueue, nil)
 				return
 			}
 			issued++
 		}
 	}
-	eng.At(0, enqueue)
+	eng.AtFunc(0, enqueue, nil)
 	eng.Run()
 	s := c.Stats().BankDeviation
 	if s.Len() != 4 {
@@ -316,7 +316,7 @@ func TestBankDeviationSampling(t *testing.T) {
 func TestStatsReset(t *testing.T) {
 	eng := sim.New()
 	c := New(eng, testConfig(), singleChannelMapper(), &fakeClient{})
-	eng.At(0, func() { c.TryEnqueue(newRead(1, 0, mem.C2M)) })
+	eng.AtFunc(0, func(any) { c.TryEnqueue(newRead(1, 0, mem.C2M)) }, nil)
 	eng.Run()
 	st := c.Stats()
 	if st.LinesRead() != 1 {
@@ -352,7 +352,7 @@ func TestConservationProperty(t *testing.T) {
 		c := New(eng, testConfig(), mem.MustMapper(mem.DefaultMapperConfig()), cl)
 		enqueued := 0
 		writes := 0
-		eng.At(0, func() {
+		eng.AtFunc(0, func(any) {
 			for i, op := range ops {
 				addr := mem.Addr(op) * mem.LineSize
 				var r *mem.Request
@@ -369,7 +369,7 @@ func TestConservationProperty(t *testing.T) {
 					}
 				}
 			}
-		})
+		}, nil)
 		eng.Run()
 		completed := len(cl.reads) + cl.freed
 		if completed != enqueued {
@@ -394,11 +394,11 @@ func TestSameRowFCFSProperty(t *testing.T) {
 	c := New(eng, testConfig(), m, cl)
 	// All requests to bank 0, alternating rows (even IDs row 0, odd row 1).
 	rowStride := mem.Addr(m.RowLines()*m.Banks()) * mem.LineSize
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 20; i++ {
 			c.TryEnqueue(newRead(uint64(i), rowStride*mem.Addr(i%2)+mem.Addr(i)*mem.LineSize, mem.C2M))
 		}
-	})
+	}, nil)
 	eng.Run()
 	if len(cl.reads) != 20 {
 		t.Fatalf("completed %d of 20", len(cl.reads))
@@ -465,7 +465,7 @@ func TestWPQReservationForP2M(t *testing.T) {
 	cfg.WPQReserveP2M = 2
 	c := New(eng, cfg, singleChannelMapper(), &fakeClient{})
 	c2mAccepted, p2mAccepted := 0, 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		// C2M writes may only use the unreserved half.
 		for i := 0; i < 4; i++ {
 			if c.TryEnqueue(newWrite(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
@@ -478,7 +478,7 @@ func TestWPQReservationForP2M(t *testing.T) {
 				p2mAccepted++
 			}
 		}
-	})
+	}, nil)
 	eng.RunUntil(0)
 	if c2mAccepted != 2 {
 		t.Fatalf("C2M writes accepted %d, want 2 (reservation)", c2mAccepted)

@@ -151,14 +151,14 @@ func ckptScenarios() []ckptScenario {
 				// the self-rescheduling sample closure is part of the test.
 				var samples []int
 				stop := ckptWarm + ckptWindow
-				var sample func()
-				sample = func() {
+				var sample func(any)
+				sample = func(any) {
 					samples = append(samples, h.IIO.Stats().WriteOcc.Level())
 					if h.Eng.Now()+sim.Microsecond <= stop {
-						h.Eng.After(sim.Microsecond, sample)
+						h.Eng.AfterFunc(sim.Microsecond, sample, nil)
 					}
 				}
-				h.Eng.After(sim.Microsecond, sample)
+				h.Eng.AfterFunc(sim.Microsecond, sample, nil)
 				h.Eng.RunUntil(stop)
 				m := snapshot(h)
 				m.P2MBW = nicBW()

@@ -65,9 +65,11 @@ type Options struct {
 	Progress func()
 	// Runs, when non-nil, shares one-host run measurements (the quadrant
 	// runs and the RDMA NIC-alone baseline) with every other experiment
-	// using the same cache; nil simulates every run. Execution-only: a
-	// shared run is the same deterministic simulation, so results are
-	// byte-identical either way (pinned by TestSharedRunsByteIdentical).
+	// using the same cache. Nil simulates every run, except that a
+	// four-quadrant figure (fig3, fig11, fig18, fig27) shares runs within
+	// its own call through a private cache. Execution-only: a shared run is
+	// the same deterministic simulation, so results are byte-identical
+	// either way (pinned by TestSharedRunsByteIdentical).
 	Runs *RunCache
 }
 

@@ -105,7 +105,7 @@ func capAt(est, cap float64) float64 {
 // points grouped per quadrant. The same points carry the Fig 12 breakdowns.
 // The four quadrant sweeps run in parallel.
 func RunFig11(opt Options) map[Quadrant][]FormulaPoint {
-	return perQuadrant(opt, func(q Quadrant) []FormulaPoint {
+	return perQuadrant(opt, func(q Quadrant, opt Options) []FormulaPoint {
 		var fps []FormulaPoint
 		for _, p := range RunQuadrant(q, DefaultCoreSweep(), opt) {
 			fps = append(fps, ValidateFormula(p, opt))

@@ -68,14 +68,14 @@ func RunRDMAQuadrant(q Quadrant, coreCounts []int, opt Options) []RDMAQuadrantPo
 		coReset()
 		// Microsecond-scale IIO occupancy sampling (Fig 23).
 		stop := co.Eng.Now() + opt.Window
-		var sample func()
-		sample = func() {
+		var sample func(any)
+		sample = func(any) {
 			p.IIOOccSamples = append(p.IIOOccSamples, co.IIO.Stats().WriteOcc.Level())
 			if co.Eng.Now()+sim.Microsecond <= stop {
-				co.Eng.After(sim.Microsecond, sample)
+				co.Eng.AfterFunc(sim.Microsecond, sample, nil)
 			}
 		}
-		co.Eng.After(sim.Microsecond, sample)
+		co.Eng.AfterFunc(sim.Microsecond, sample, nil)
 		co.Eng.RunUntil(stop)
 		p.Co = snapshot(co)
 		p.Co.P2MBW = coBW()
@@ -90,7 +90,9 @@ func RunRDMAQuadrant(q Quadrant, coreCounts []int, opt Options) []RDMAQuadrantPo
 
 // RunFig18 runs all four RDMA quadrants in parallel.
 func RunFig18(opt Options) map[Quadrant][]RDMAQuadrantPoint {
-	return perQuadrant(opt, func(q Quadrant) []RDMAQuadrantPoint { return RunRDMAQuadrant(q, DefaultCoreSweep(), opt) })
+	return perQuadrant(opt, func(q Quadrant, opt Options) []RDMAQuadrantPoint {
+		return RunRDMAQuadrant(q, DefaultCoreSweep(), opt)
+	})
 }
 
 // DCTCPPoint is one data point of the TCP case study (Fig 19/25/26).

@@ -9,7 +9,7 @@ import (
 // Fig 28 breakdowns inside each point): the same methodology as Fig 11,
 // with NIC-generated P2M traffic. The four quadrant sweeps run in parallel.
 func RunFig27(opt Options) map[Quadrant][]FormulaPoint {
-	return perQuadrant(opt, func(q Quadrant) []FormulaPoint {
+	return perQuadrant(opt, func(q Quadrant, opt Options) []FormulaPoint {
 		var fps []FormulaPoint
 		for _, p := range RunRDMAQuadrant(q, DefaultCoreSweep(), opt) {
 			fps = append(fps, ValidateFormula(p.QuadrantPoint, opt))

@@ -62,17 +62,16 @@ func addP2MDevice(h *host.Host, q Quadrant) {
 	h.AddStorage(periph.BulkConfig(dir, h.Region(1<<30)))
 }
 
-// runKey fingerprints one fig-3-style simulation run. Within a single sweep
-// invocation (one Options value), two runs with equal keys are the same
+// runKey fingerprints one fig-3-style simulation run. Under one host
+// config, warmup and window, two runs with equal keys are the same
 // simulation from t=0: the host build sequence is a pure function of the
 // key, and the engine is deterministic. Quadrants overlap heavily — Q1/Q2
 // share every C2M-Read isolated baseline, Q3/Q4 every C2M-ReadWrite one,
-// and quadrant pairs share the two device baselines — so RunFig3 runs each
-// unique key once and reuses the measured result, cutting the 4x13 logical
-// runs to 38 simulations without changing a byte of output. Keys name the
-// first quadrant (Q1, then Q2/Q3) whose workloads the run uses. Across
-// Options values and jobs, Options.Runs extends the same sharing, with the
-// host config added to the key.
+// and quadrant pairs share the two device baselines — so a run cache
+// (Options.Runs, with the config added to the key) simulates each unique
+// key once: fig3's 4x13 run lookups are 38 simulations, with the same
+// bytes. Keys name the first quadrant (Q1, then Q2/Q3) whose workloads
+// the run uses.
 type runKey struct {
 	q      Quadrant
 	cores  int  // C2M cores (0 = device-only baseline)
@@ -178,8 +177,13 @@ func DefaultCoreSweep() []int { return []int{1, 2, 3, 4, 5, 6} }
 var quadrants = []Quadrant{Q1, Q2, Q3, Q4}
 
 // perQuadrant runs one series per quadrant in parallel, keyed by quadrant.
-func perQuadrant[P any](opt Options, series func(Quadrant) []P) map[Quadrant][]P {
-	all := pmap(opt, len(quadrants), func(i int) []P { return series(quadrants[i]) })
+// The series share baselines (see runKey), so a call whose options carry no
+// run cache gets a private one: each distinct run simulates once per call.
+func perQuadrant[P any](opt Options, series func(q Quadrant, opt Options) []P) map[Quadrant][]P {
+	if opt.Runs == nil {
+		opt.Runs = NewRunCache()
+	}
+	all := pmap(opt, len(quadrants), func(i int) []P { return series(quadrants[i], opt) })
 	out := make(map[Quadrant][]P, len(all))
 	for i, q := range quadrants {
 		out[q] = all[i]
@@ -188,59 +192,12 @@ func perQuadrant[P any](opt Options, series func(Quadrant) []P) map[Quadrant][]P
 }
 
 // fourQuadrantTasks mirrors perQuadrant over default-core quadrant sweeps
-// (RunFig11, RunFig18, RunFig27).
+// (RunFig3, RunFig11, RunFig18, RunFig27).
 func fourQuadrantTasks(Spec) int { return 4 + 4*sweepTasks(len(DefaultCoreSweep())) }
 
-// fig3Keys lists the unique runs of Fig 3 in first-use order, and each
-// key's position in that list.
-func fig3Keys() ([]runKey, map[runKey]int) {
-	var keys []runKey
-	index := make(map[runKey]int)
-	need := func(k runKey) {
-		if _, ok := index[k]; !ok {
-			index[k] = len(keys)
-			keys = append(keys, k)
-		}
-	}
-	for _, q := range quadrants {
-		need(p2mRunKey(q))
-		for _, n := range DefaultCoreSweep() {
-			need(isoRunKey(q, n))
-			need(coRunKey(q, n))
-		}
-	}
-	return keys, index
-}
-
-// fig3Tasks mirrors RunFig3: one task per unique run.
-func fig3Tasks(Spec) int {
-	keys, _ := fig3Keys()
-	return len(keys)
-}
-
-// RunFig3 runs all four quadrants (Fig 3). The quadrants' runs are deduped
-// by runKey — each unique simulation runs once on the options' worker pool
-// and every point that needs it shares the measured result — which is
-// byte-identical to running all 52 (pinned by TestRunFig3MatchesQuadrants)
-// and about 27% cheaper.
+// RunFig3 runs all four quadrants (Fig 3).
 func RunFig3(opt Options) map[Quadrant][]QuadrantPoint {
-	counts := DefaultCoreSweep()
-	keys, index := fig3Keys()
-	measures := pmap(opt, len(keys), func(i int) Measure { return keys[i].run(opt) })
-	get := func(k runKey) Measure { return measures[index[k]] }
-	out := make(map[Quadrant][]QuadrantPoint, len(quadrants))
-	for _, q := range quadrants {
-		pts := make([]QuadrantPoint, len(counts))
-		for i, n := range counts {
-			pts[i] = QuadrantPoint{
-				Quadrant: q,
-				Cores:    n,
-				C2MIso:   get(isoRunKey(q, n)),
-				P2MIso:   get(p2mRunKey(q)),
-				Co:       get(coRunKey(q, n)),
-			}
-		}
-		out[q] = pts
-	}
-	return out
+	return perQuadrant(opt, func(q Quadrant, opt Options) []QuadrantPoint {
+		return RunQuadrant(q, DefaultCoreSweep(), opt)
+	})
 }

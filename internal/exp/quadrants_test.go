@@ -96,10 +96,11 @@ func TestQuadrants2And4Blue(t *testing.T) {
 	}
 }
 
-// TestRunFig3MatchesQuadrants pins the runKey dedup claim on RunFig3: the
-// deduped figure — each unique simulation run once and shared across the
-// points that need it — is byte-identical to assembling every quadrant
-// independently via RunQuadrant, which runs each point from scratch.
+// TestRunFig3MatchesQuadrants pins run sharing on RunFig3: the figure —
+// whose private run cache runs each unique simulation once and shares it
+// across the points that need it — is byte-identical to assembling every
+// quadrant independently via RunQuadrant with a nil Options.Runs, which
+// runs each point from scratch.
 func TestRunFig3MatchesQuadrants(t *testing.T) {
 	opt := Defaults()
 	opt.Warmup = 1 * sim.Microsecond

@@ -59,7 +59,7 @@ var (
 )
 
 var registry = map[string]*experiment{
-	"fig3":  withCSV(figure(faultFigShape, RunFig3, fig3Tasks, RenderQuadrants), fig3CSV),
+	"fig3":  withCSV(figure(faultFigShape, RunFig3, fourQuadrantTasks, RenderQuadrants), fig3CSV),
 	"fig6":  figure(figShape, RunFig6, nil, renderFig6, "domains"),
 	"fig11": figure(figShape, RunFig11, fourQuadrantTasks, RenderFormula, "fig12"),
 	"fig18": figure(faultFigShape, RunFig18, fourQuadrantTasks, RenderRDMA, "fig20", "fig21", "fig22", "fig24"),

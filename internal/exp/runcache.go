@@ -16,7 +16,8 @@ import (
 // baselines that depend only on direction, core count and testbed, so a
 // daemon answering point specs one at a time would otherwise re-simulate
 // the same baselines for every point. quadrantRun and rdmaBaseline consult
-// the cache through Options.Runs; a nil cache simulates every run.
+// the cache through Options.Runs; a nil cache simulates every run, except
+// within one call of a four-quadrant figure, which gets a private cache.
 //
 // Sharing cannot change a byte of any result: a run is deterministic, and
 // its key covers every input it reads — the complete host.Config it builds

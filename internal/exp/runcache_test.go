@@ -191,6 +191,51 @@ func TestSharedRunsHostColdCounts(t *testing.T) {
 	}
 }
 
+// A four-quadrant figure's series share their baselines: fig3 and fig11
+// look up 52 quadrant runs and need 38 (four device baselines share two
+// runs, 24 isolated runs share 12), fig18 and fig27 look up 28 and need 14
+// (the colocated RDMA runs are not cached). The counts hold at any
+// parallelism; only the split of repeats into hits and waits varies.
+func TestFourQuadrantFiguresShareRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		distinct int64
+	}{{"fig3", 38}, {"fig11", 38}, {"fig18", 14}, {"fig27", 14}} {
+		for _, par := range []int{1, 8} {
+			opt := fastOpt(par)
+			opt.Runs = NewRunCache()
+			if _, err := RunSpec(Spec{Experiment: tc.name, WarmupNs: 1000, WindowNs: 2000}, opt); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if st := opt.Runs.Stats(); st.Misses != tc.distinct || st.Hits+st.Waits != 14 {
+				t.Errorf("%s at parallelism %d: %+v, want %d misses and 14 hits plus waits",
+					tc.name, par, st, tc.distinct)
+			}
+		}
+	}
+}
+
+// perQuadrant hands all four series one run cache: the caller's, or a
+// private one for the call when the caller has none.
+func TestPerQuadrantSharesOneCache(t *testing.T) {
+	seen := func(opt Options) map[*RunCache]bool {
+		caches := perQuadrant(opt, func(_ Quadrant, opt Options) []*RunCache { return []*RunCache{opt.Runs} })
+		out := make(map[*RunCache]bool)
+		for _, c := range caches {
+			out[c[0]] = true
+		}
+		return out
+	}
+	if got := seen(fastOpt(1)); len(got) != 1 || got[nil] {
+		t.Errorf("without a cache: the series saw %v, want one private cache", got)
+	}
+	opt := fastOpt(1)
+	opt.Runs = NewRunCache()
+	if got := seen(opt); len(got) != 1 || !got[opt.Runs] {
+		t.Errorf("with a cache: the series saw %v, want the caller's %p", got, opt.Runs)
+	}
+}
+
 // A cached Measure is returned by value; it must hold no reference a
 // caller could mutate through, and a full cache must stay under 1 MiB.
 func TestMeasureHoldsNoReferences(t *testing.T) {

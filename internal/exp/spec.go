@@ -218,6 +218,19 @@ func (s Spec) Validate() error {
 	if s.Reserve < 0 {
 		return fmt.Errorf("reserve %d < 0", s.Reserve)
 	}
+	if shape.cores || shape.reserve {
+		// Bound what the simulator can build by the testbed the normalized
+		// spec's hosts are built from (crossval's is always Cascade Lake).
+		tb := s.Normalized().options(Options{}).hostConfig()
+		for _, c := range s.Cores {
+			if shape.cores && c > tb.MaxCores {
+				return fmt.Errorf("core count %d exceeds %s's %d cores", c, tb.Name, tb.MaxCores)
+			}
+		}
+		if shape.reserve && s.Reserve >= tb.MC.WPQCap {
+			return fmt.Errorf("reserve %d must be below the %d-slot WPQ", s.Reserve, tb.MC.WPQCap)
+		}
+	}
 	if shape.faults {
 		if err := fault.Schedule(s.Faults).Validate(); err != nil {
 			return err

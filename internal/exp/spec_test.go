@@ -169,6 +169,54 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// Validate rejects what the simulator cannot build — more cores than the
+// testbed has, or a WPQ reservation that leaves writes no slot — at both
+// fidelities, so hostnetd answers 400 at submit instead of failing the
+// run. crossval always runs on Cascade Lake.
+func TestValidateBoundsBuildableHost(t *testing.T) {
+	maxCores := map[string][2]int{ // experiment: {cascadelake, icelake}
+		"quadrant": {8, 32}, "rdma": {8, 32}, "ratio": {8, 32}, "hostcc": {8, 32},
+		"mcisolation": {8, 32}, "prefetch": {8, 32}, "faultsweep": {8, 32},
+		"incast": {8, 32}, "crossval": {8, 8},
+	}
+	readers := experimentsWhere(func(e *experiment) bool { return e.shape.cores })
+	if len(readers) != len(maxCores) {
+		t.Fatalf("experiments reading cores: %v; the table covers %d", readers, len(maxCores))
+	}
+	for _, name := range readers {
+		bounds, ok := maxCores[name]
+		if !ok {
+			t.Fatalf("%s reads cores but has no row", name)
+		}
+		fidelities := []string{""}
+		if registry[name].analytic {
+			fidelities = append(fidelities, FidelityAnalytic)
+		}
+		for i, preset := range []string{"cascadelake", "icelake"} {
+			for _, fid := range fidelities {
+				s := Spec{Experiment: name, Preset: preset, Fidelity: fid, Cores: []int{1, bounds[i]}}
+				if _, err := s.Canonical(); err != nil {
+					t.Errorf("%s on %s, fidelity %q: %d cores rejected: %v", name, preset, fid, bounds[i], err)
+				}
+				s.Cores = []int{1, bounds[i] + 1}
+				if s.Validate() == nil {
+					t.Errorf("%s on %s, fidelity %q: %d cores accepted", name, preset, fid, bounds[i]+1)
+				}
+			}
+		}
+	}
+	for _, preset := range []string{"cascadelake", "icelake"} {
+		s := Spec{Experiment: "mcisolation", Preset: preset, Reserve: 47}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: reserve 47 of 48 rejected: %v", preset, err)
+		}
+		s.Reserve = 48
+		if s.Validate() == nil {
+			t.Errorf("%s: reserve 48 of 48 accepted", preset)
+		}
+	}
+}
+
 func TestExperimentsCatalog(t *testing.T) {
 	names := Experiments()
 	if len(names) != len(registry) {

@@ -24,13 +24,13 @@ func TestAuditDetectsInjectedDoubleRelease(t *testing.T) {
 	h.AddStorage(periph.BulkConfig(periph.DMAWrite, h.Region(1<<30)))
 
 	const injectAt = 10 * sim.Microsecond
-	h.Eng.At(injectAt, func() {
+	h.Eng.AtFunc(injectAt, func(any) {
 		// Well past any legitimate free count: capacity is double-released
 		// even with every credit idle.
 		for i := 0; i < 2*h.Cfg.IIO.WriteCredits; i++ {
 			h.IIO.InjectDoubleRelease()
 		}
-	})
+	}, nil)
 	h.Run(warm, win)
 
 	vs := h.Auditor.Violations()

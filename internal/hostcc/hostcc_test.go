@@ -63,9 +63,9 @@ func TestControllerThrottlesOnIIOSignal(t *testing.T) {
 			r.io.NotifyWrite(pump)
 			return
 		}
-		r.eng.After(100*sim.Nanosecond, pump)
+		r.eng.AfterFunc(100*sim.Nanosecond, func(any) { pump() }, nil)
 	}
-	r.eng.At(0, pump)
+	r.eng.AtFunc(0, func(any) { pump() }, nil)
 	r.eng.RunUntil(100 * sim.Microsecond)
 	if frac := ctl.Congested.Frac(); frac < 0.3 {
 		t.Fatalf("congestion signal fired only %.2f of the time", frac)

@@ -25,14 +25,14 @@ func testRig(cfg Config) (*sim.Engine, *IIO, *dram.Controller) {
 func TestWriteCreditLifecycle(t *testing.T) {
 	eng, io, _ := testRig(DefaultConfig())
 	done := false
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		if !io.TryWrite(0, 0, func() { done = true }) {
 			t.Errorf("TryWrite failed on idle IIO")
 		}
 		if io.WriteCreditsFree() != 91 {
 			t.Errorf("credit not consumed: %d", io.WriteCreditsFree())
 		}
-	})
+	}, nil)
 	eng.Run()
 	if !done {
 		t.Fatalf("write never completed")
@@ -50,13 +50,13 @@ func TestWriteCreditLifecycle(t *testing.T) {
 func TestWriteLinkPacing(t *testing.T) {
 	eng, io, _ := testRig(DefaultConfig())
 	granted := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
 			if io.TryWrite(mem.Addr(i*mem.LineSize), 0, nil) {
 				granted++
 			}
 		}
-	})
+	}, nil)
 	eng.RunUntil(0)
 	// The upstream link serializes: only one TLP can start per LinePeriodUp.
 	if granted != 1 {
@@ -70,13 +70,13 @@ func TestWriteCreditExhaustion(t *testing.T) {
 	cfg.LinePeriodUp = 0 // disable pacing to isolate the credit limit
 	eng, io, _ := testRig(cfg)
 	granted := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 5; i++ {
 			if io.TryWrite(mem.Addr(i*mem.LineSize), 0, nil) {
 				granted++
 			}
 		}
-	})
+	}, nil)
 	eng.RunUntil(0)
 	if granted != 2 {
 		t.Fatalf("granted %d, want 2 (credit bound)", granted)
@@ -89,13 +89,13 @@ func TestNotifyWriteFiresOnCreditReturn(t *testing.T) {
 	cfg.LinePeriodUp = 0
 	eng, io, _ := testRig(cfg)
 	notified := sim.Time(-1)
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		io.TryWrite(0, 0, nil)
 		if io.TryWrite(64, 0, nil) {
 			t.Errorf("second write should be credit-blocked")
 		}
 		io.NotifyWrite(func() { notified = eng.Now() })
-	})
+	}, nil)
 	eng.Run()
 	if notified < 0 {
 		t.Fatalf("NotifyWrite never fired")
@@ -108,11 +108,11 @@ func TestNotifyWriteFiresOnCreditReturn(t *testing.T) {
 func TestReadCreditLifecycle(t *testing.T) {
 	eng, io, mc := testRig(DefaultConfig())
 	done := false
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		if !io.TryRead(0, 0, func() { done = true }) {
 			t.Errorf("TryRead failed on idle IIO")
 		}
-	})
+	}, nil)
 	eng.Run()
 	if !done {
 		t.Fatalf("read never completed")
@@ -133,13 +133,13 @@ func TestReadCreditLifecycle(t *testing.T) {
 func TestReadIssuePacing(t *testing.T) {
 	eng, io, _ := testRig(DefaultConfig())
 	granted := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
 			if io.TryRead(mem.Addr(i*mem.LineSize), 0, nil) {
 				granted++
 			}
 		}
-	})
+	}, nil)
 	eng.RunUntil(0)
 	if granted != 1 {
 		t.Fatalf("granted %d reads at one instant, want 1 (paced)", granted)
@@ -155,7 +155,7 @@ func TestBulkWriteThroughputIsLinkBound(t *testing.T) {
 		}
 		io.NotifyWrite(pump)
 	}
-	eng.At(0, pump)
+	eng.AtFunc(0, func(any) { pump() }, nil)
 	eng.RunUntil(20 * sim.Microsecond)
 	io.Stats().Reset()
 	eng.RunUntil(120 * sim.Microsecond)
@@ -184,7 +184,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	eng, io, _ := testRig(DefaultConfig())
-	eng.At(0, func() { io.TryWrite(0, 0, nil) })
+	eng.AtFunc(0, func(any) { io.TryWrite(0, 0, nil) }, nil)
 	eng.Run()
 	io.Stats().Reset()
 	if io.Stats().LinesIn.Count() != 0 {

@@ -189,11 +189,11 @@ func (r *DCTCPReceiver) Copier(i int) cpu.Generator { return r.flows[i].copier }
 
 // Start begins all senders at time t.
 func (r *DCTCPReceiver) Start(t sim.Time) {
-	r.eng.At(t, func() {
+	r.eng.AtFunc(t, func(any) {
 		for _, f := range r.flows {
 			r.trySend(f)
 		}
-	})
+	}, nil)
 }
 
 // rwnd is the flow's advertised window.

@@ -174,12 +174,12 @@ func (p *port) Submit(req *mem.Request) {
 		if rq.Kind == mem.Read {
 			delay = r.cfg.DataLatency
 		}
-		r.eng.After(backSer+delay, func() {
+		r.eng.AfterFunc(backSer+delay, func(any) {
 			rq.TDone = r.eng.Now()
 			if done != nil {
 				done(rq)
 			}
-		})
+		}, nil)
 	}
 	r.eng.AfterFunc(outSer+r.cfg.ReqLatency, r.submitFn[home], req)
 }

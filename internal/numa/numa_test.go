@@ -16,11 +16,11 @@ type fakeCHA struct {
 
 func (f *fakeCHA) Submit(r *mem.Request) {
 	f.got = append(f.got, r)
-	f.eng.After(f.latency, func() {
+	f.eng.AfterFunc(f.latency, func(any) {
 		if r.Done != nil {
 			r.Done(r)
 		}
-	})
+	}, nil)
 }
 
 func rig() (*sim.Engine, *Router, *fakeCHA, *fakeCHA) {
@@ -36,7 +36,7 @@ func TestLocalBypassesLink(t *testing.T) {
 	var doneAt sim.Time = -1
 	req := &mem.Request{Addr: 0, Kind: mem.Read}
 	req.Done = func(*mem.Request) { doneAt = eng.Now() }
-	eng.At(0, func() { r.Port(0).Submit(req) })
+	eng.AtFunc(0, func(any) { r.Port(0).Submit(req) }, nil)
 	eng.Run()
 	if len(c0.got) != 1 || len(c1.got) != 0 {
 		t.Fatalf("local request misrouted: c0=%d c1=%d", len(c0.got), len(c1.got))
@@ -54,7 +54,7 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	var doneAt sim.Time = -1
 	req := &mem.Request{Addr: 1 << 38, Kind: mem.Read}
 	req.Done = func(*mem.Request) { doneAt = eng.Now() }
-	eng.At(0, func() { r.Port(0).Submit(req) })
+	eng.AtFunc(0, func(any) { r.Port(0).Submit(req) }, nil)
 	eng.Run()
 	if len(c1.got) != 1 || len(c0.got) != 0 {
 		t.Fatalf("remote request misrouted")
@@ -79,7 +79,7 @@ func TestRemoteWriteSerializesOutbound(t *testing.T) {
 		i := i
 		req := &mem.Request{ID: uint64(i), Addr: 1 << 38, Kind: mem.Write}
 		req.Done = func(*mem.Request) { times[i] = eng.Now() }
-		eng.At(0, func() { r.Port(0).Submit(req) })
+		eng.AtFunc(0, func(any) { r.Port(0).Submit(req) }, nil)
 	}
 	eng.Run()
 	if len(c1.got) != 2 {
@@ -101,8 +101,8 @@ func TestDirectionsAreIndependent(t *testing.T) {
 		a.Done = func(*mem.Request) { done++ }
 		b := &mem.Request{Addr: 0, Kind: mem.Write}
 		b.Done = func(*mem.Request) { done++ }
-		eng.At(0, func() { r.Port(0).Submit(a) }) // 0 -> 1
-		eng.At(0, func() { r.Port(1).Submit(b) }) // 1 -> 0
+		eng.AtFunc(0, func(any) { r.Port(0).Submit(a) }, nil) // 0 -> 1
+		eng.AtFunc(0, func(any) { r.Port(1).Submit(b) }, nil) // 1 -> 0
 	}
 	eng.Run()
 	if done != 100 {
@@ -122,13 +122,13 @@ func TestLinkThroughputBound(t *testing.T) {
 	eng, r, _, c1 := rig()
 	const n = 2000
 	done := 0
-	eng.At(0, func() {
+	eng.AtFunc(0, func(any) {
 		for i := 0; i < n; i++ {
 			req := &mem.Request{Addr: 1 << 38, Kind: mem.Write}
 			req.Done = func(*mem.Request) { done++ }
 			r.Port(0).Submit(req)
 		}
-	})
+	}, nil)
 	eng.Run()
 	if done != n {
 		t.Fatalf("completed %d of %d", done, n)

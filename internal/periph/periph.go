@@ -149,11 +149,11 @@ func (s *Storage) Stats() *Stats { return s.stats }
 
 // Start arms the initial queue-depth worth of requests at time t.
 func (s *Storage) Start(t sim.Time) {
-	s.eng.At(t, func() {
+	s.eng.AtFunc(t, func(any) {
 		for q := 0; q < s.cfg.QueueDepth; q++ {
 			s.armRequest()
 		}
-	})
+	}, nil)
 }
 
 // armedEvent makes a request issuable once its device-internal latency ends.

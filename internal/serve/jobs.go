@@ -305,7 +305,8 @@ type manager struct {
 	wg    sync.WaitGroup
 
 	// beforeRun, when set (tests only), runs on the worker goroutine after
-	// the job turns Running and before the simulation starts.
+	// the job turns Running, inside the job's panic isolation, right before
+	// the simulation.
 	beforeRun func(ctx context.Context, j *Job)
 }
 
@@ -496,9 +497,6 @@ func (m *manager) run(j *Job) {
 		m.mu.Unlock()
 		return
 	}
-	if h := m.beforeRun; h != nil {
-		h(ctx, j)
-	}
 
 	opt := exp.Defaults()
 	opt.Parallelism = m.cfg.Parallelism
@@ -516,6 +514,9 @@ func (m *manager) run(j *Job) {
 	// daemon. In coordinator mode the "simulation" is a fleet fan-out that
 	// produces the same bytes (exp.MergePointResults byte-identity).
 	poolErr := runner.Do(ctx, 1, func() {
+		if h := m.beforeRun; h != nil {
+			h(ctx, j)
+		}
 		if fl := m.cfg.Fleet; fl != nil {
 			out, runErr = fl.RunSpecJSON(ctx, j.Spec, j.bumpProgress)
 		} else {

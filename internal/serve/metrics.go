@@ -112,7 +112,7 @@ func (m *metrics) writeProm(w io.Writer, mgr *manager) {
 
 	rs := mgr.runs.Stats()
 	counter("hostnetd_runcache_hits_total", "One-host runs served from the run cache.", rs.Hits)
-	counter("hostnetd_runcache_waits_total", "One-host run lookups that waited for another job's identical run.", rs.Waits)
+	counter("hostnetd_runcache_waits_total", "One-host run lookups that waited for an identical run in flight.", rs.Waits)
 	counter("hostnetd_runcache_misses_total", "One-host runs simulated and offered to the run cache.", rs.Misses)
 	counter("hostnetd_runcache_evictions_total", "Runs evicted to stay under the run cache's entry cap.", rs.Evictions)
 	gauge("hostnetd_runcache_entries", "One-host runs held in the run cache.", rs.Entries)

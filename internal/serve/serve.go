@@ -53,7 +53,7 @@ type Config struct {
 	// daemon. Default 10ms of simulated time; negative disables the cap.
 	MaxWindowNs int64
 	// Parallelism is the sweep-pool width per job (exp.Options.Parallelism).
-	// Default 0: one goroutine per sweep point.
+	// Default 0: GOMAXPROCS.
 	Parallelism int
 	// Audit enables simulator invariant auditing inside jobs.
 	Audit bool

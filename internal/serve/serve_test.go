@@ -191,7 +191,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Fatalf("job %s ended %v after drain, want done", id, st)
 		}
 	}
-	rec, _ := postSpec(t, h, smallSpec(9))
+	rec, _ := postSpec(t, h, smallSpec(4))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("submit after shutdown: code %d, want 503", rec.Code)
 	}
@@ -308,6 +308,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad quadrant", `{"experiment":"quadrant","quadrant":9}`},
 		{"window over cap", `{"experiment":"quadrant","window_ns":20000}`},
 		{"bad write frac", `{"experiment":"ratio","write_fracs":[2]}`},
+		// Specs the simulator cannot build, on either tier.
+		{"cores over testbed", `{"experiment":"quadrant","quadrant":1,"cores":[9],"warmup_ns":1000,"window_ns":2000}`},
+		{"reserve fills WPQ", `{"experiment":"mcisolation","reserve":48,"warmup_ns":1000,"window_ns":2000}`},
+		{"analytic cores over testbed", `{"experiment":"quadrant","fidelity":"analytic","cores":[64]}`},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -402,13 +406,17 @@ func TestIntrospectionEndpoints(t *testing.T) {
 }
 
 // A panicking job is isolated: the daemon survives and reports the job
-// failed. A bogus core count slips past spec validation (it is positive)
-// but makes the host topology panic inside the simulation.
+// failed. The panic is raised inside the job's isolation, where a
+// simulation's would be.
 func TestPanicIsolation(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
+	s.mgr.beforeRun = func(_ context.Context, j *Job) {
+		if j.Spec.Cores[0] == 3 {
+			panic("simulation panic")
+		}
+	}
 	h := s.Handler()
-	spec := exp.Spec{Experiment: "quadrant", Quadrant: 1, Cores: []int{100000}, WarmupNs: 1000, WindowNs: 2000}
-	rec, st := postSpec(t, h, spec)
+	rec, st := postSpec(t, h, smallSpec(3))
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit: %d", rec.Code)
 	}

@@ -14,14 +14,14 @@ import "testing"
 func BenchmarkScheduleRun(b *testing.B) {
 	e := New()
 	n := 0
-	fn := func() { n++ }
-	e.At(0, fn) // pre-grow the heap so -benchtime=1x is already steady state
+	fn := func(any) { n++ }
+	e.AtFunc(0, fn, nil) // pre-grow the heap so -benchtime=1x is already steady state
 	e.Step()
 	n = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(Time(i), fn)
+		e.AtFunc(Time(i), fn, nil)
 		e.Step()
 	}
 	if n != b.N {
@@ -35,16 +35,18 @@ func BenchmarkScheduleRun(b *testing.B) {
 func BenchmarkEngineThroughput(b *testing.B) {
 	e := New()
 	n := 0
-	fn := func() { n++ }
+	fn := func(any) { n++ }
 	const window = 256
 	for i := 0; i < window; i++ {
-		e.At(Time(i), fn)
+		e.AtFunc(Time(i), fn, nil)
 	}
+	e.Step() // grow the slot free list so -benchtime=1x is already steady state
+	e.AtFunc(e.Now()+window, fn, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-		e.At(e.Now()+window, fn)
+		e.AtFunc(e.Now()+window, fn, nil)
 	}
 	b.StopTimer()
 	e.Run()
@@ -77,10 +79,14 @@ func BenchmarkWakerChurn(b *testing.B) {
 // with the given arrival pattern.
 func benchHeapPattern(b *testing.B, depth int, next func(i int) Time) {
 	e := New()
-	fn := func() {}
+	fn := func(any) {}
 	for i := 0; i < depth; i++ {
-		e.At(next(i), fn)
+		e.AtFunc(next(i), fn, nil)
 	}
+	// Grow the same-instant ring and the slot free list so -benchtime=1x is
+	// already steady state.
+	e.AtFunc(e.Now(), fn, nil)
+	e.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,7 +95,7 @@ func benchHeapPattern(b *testing.B, depth int, next func(i int) Time) {
 		if t < e.Now() {
 			t = e.Now()
 		}
-		e.At(t, fn)
+		e.AtFunc(t, fn, nil)
 	}
 	b.StopTimer()
 	e.Run()
@@ -132,9 +138,9 @@ func benchSnapshotEngine() (*Engine, *benchReg) {
 	e := New()
 	r := &benchReg{}
 	e.Register(r)
-	fn := func() {}
+	fn := func(any) {}
 	for i := 0; i < 512; i++ {
-		e.At(Time(i), fn)
+		e.AtFunc(Time(i), fn, nil)
 	}
 	e.RunUntil(100)
 	return e, r

@@ -7,7 +7,7 @@ import (
 )
 
 // TestHeapMatchesReferenceModel drives the engine with random interleavings
-// of At, After, and Step and checks every dispatch against a reference model
+// of AtFunc, AfterFunc and Step and checks every dispatch against a reference model
 // (the same events ordered by sort.Slice on (time, seq)). This pins the
 // 4-ary heap's pop order to the exact (time, seq) contract the rest of the
 // simulator's determinism rests on.
@@ -23,7 +23,7 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 		seq := 0
 		for _, op := range ops {
 			switch op % 4 {
-			case 0, 1: // At: absolute time in a small range for collisions
+			case 0, 1: // AtFunc: absolute time in a small range for collisions
 				at := Time(op % 509)
 				if at < e.Now() {
 					at = e.Now()
@@ -31,13 +31,13 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 				r := ref{at: at, seq: seq}
 				seq++
 				model = append(model, r)
-				e.At(at, func() { got = append(got, ref{e.Now(), r.seq}) })
-			case 2: // After: relative delay
+				e.AtFunc(at, func(any) { got = append(got, ref{e.Now(), r.seq}) }, nil)
+			case 2: // AfterFunc: relative delay
 				at := e.Now() + Time(op%97)
 				r := ref{at: at, seq: seq}
 				seq++
 				model = append(model, r)
-				e.After(at-e.Now(), func() { got = append(got, ref{e.Now(), r.seq}) })
+				e.AfterFunc(at-e.Now(), func(any) { got = append(got, ref{e.Now(), r.seq}) }, nil)
 			case 3: // Step: interleave dispatch with scheduling
 				e.Step()
 			}
@@ -79,22 +79,21 @@ func TestAtFuncPassesArg(t *testing.T) {
 
 // TestSteadyStateSchedulingZeroAlloc is the allocation gate behind the CI
 // bench smoke step, enforced on every plain `go test` run: steady-state
-// scheduling through AtFunc, the At/After compatibility wrappers (with a
-// reused callback), and Waker arming must not allocate. The heap is
-// pre-grown so slice growth (a one-time, amortized cost) is excluded.
+// scheduling through AtFunc and AfterFunc (with a reused handler) and Waker
+// arming must not allocate. The heap is pre-grown so slice growth (a
+// one-time, amortized cost) is excluded.
 func TestSteadyStateSchedulingZeroAlloc(t *testing.T) {
 	e := New()
-	fn := func() {}
-	w := NewWaker(e, fn)
+	w := NewWaker(e, func() {})
 	handler := func(any) {}
 	for i := 0; i < 64; i++ { // pre-grow the heap's backing array
-		e.At(Time(i), fn)
+		e.AtFunc(Time(i), handler, nil)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		now := e.Now()
 		e.AtFunc(now+5, handler, w)
-		e.After(10, fn)
+		e.AfterFunc(10, handler, nil)
 		w.WakeAt(now + 7)
 		w.WakeAt(now + 2) // supersede
 		e.RunUntil(now + 20)
@@ -115,7 +114,7 @@ func TestHeapDeepOrdering(t *testing.T) {
 	for i := 0; i < n; i++ {
 		at := Time(rng.Uint64N(1000)) // heavy collisions: seq must break ties
 		want = append(want, at)
-		e.At(at, func() { got = append(got, e.Now()) })
+		e.AtFunc(at, func(any) { got = append(got, e.Now()) }, nil)
 	}
 	e.Run()
 	sort.SliceStable(want, func(i, j int) bool { return want[i] < want[j] })

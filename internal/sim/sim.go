@@ -24,10 +24,10 @@
 // The slot indirection also gives the engine true decrease-key: a Waker that
 // wants an earlier callback reschedules its existing event in place instead
 // of pushing a superseding duplicate and letting the stale one fire as a
-// no-op. The AtFunc/AfterFunc path carries callbacks as a (func(arg any),
-// arg) pair so hot components schedule with a long-lived handler plus a
-// pooled or already-allocated argument instead of a fresh closure. At/After
-// remain as thin wrappers for cold call sites.
+// no-op. AtFunc/AfterFunc carry callbacks as a (func(arg any), arg) pair so
+// hot components schedule with a long-lived handler plus a pooled or
+// already-allocated argument instead of a fresh closure; a cold call site
+// may pass a func(any) literal and a nil arg.
 //
 // # Snapshots
 //
@@ -440,18 +440,6 @@ func (e *Engine) AtFunc(t Time, fn EventFunc, arg any) { e.schedule(t, fn, arg) 
 
 // AfterFunc schedules fn(arg) d picoseconds from now. Negative d panics.
 func (e *Engine) AfterFunc(d Time, fn EventFunc, arg any) { e.schedule(e.now+d, fn, arg) }
-
-// callThunk dispatches the compatibility path: arg is the caller's func().
-func callThunk(arg any) { arg.(func())() }
-
-// At schedules fn to run at absolute time t. It is a thin wrapper over
-// AtFunc for cold call sites (experiment setup, tests); hot paths should
-// use AtFunc with a reusable handler instead of allocating a closure per
-// event.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, callThunk, fn) }
-
-// After schedules fn to run d picoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, callThunk, fn) }
 
 // SetEventHook installs fn to run after every `every`-th executed event,
 // between events (never inside one). The invariant auditor uses this as its

@@ -43,9 +43,9 @@ func TestTimeString(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.AtFunc(30, func(any) { order = append(order, 3) }, nil)
+	e.AtFunc(10, func(any) { order = append(order, 1) }, nil)
+	e.AtFunc(20, func(any) { order = append(order, 2) }, nil)
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -60,7 +60,7 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.AtFunc(5, func(any) { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -73,10 +73,10 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := New()
 	var hits []Time
-	e.At(10, func() {
+	e.AtFunc(10, func(any) {
 		hits = append(hits, e.Now())
-		e.After(5, func() { hits = append(hits, e.Now()) })
-	})
+		e.AfterFunc(5, func(any) { hits = append(hits, e.Now()) }, nil)
+	}, nil)
 	e.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("hits = %v", hits)
@@ -85,14 +85,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.At(100, func() {})
+	e.AtFunc(100, func(any) {}, nil)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("scheduling in the past did not panic")
 		}
 	}()
-	e.At(50, func() {})
+	e.AtFunc(50, func(any) {}, nil)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -100,7 +100,7 @@ func TestRunUntil(t *testing.T) {
 	ran := map[Time]bool{}
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { ran[at] = true })
+		e.AtFunc(at, func(any) { ran[at] = true }, nil)
 	}
 	e.RunUntil(25)
 	if !ran[10] || !ran[20] || ran[30] || ran[40] {
@@ -121,7 +121,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	e := New()
 	hit := false
-	e.At(25, func() { hit = true })
+	e.AtFunc(25, func(any) { hit = true }, nil)
 	e.RunUntil(25)
 	if !hit {
 		t.Fatalf("event at the RunUntil boundary did not fire")
@@ -131,7 +131,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 func TestProcessedCount(t *testing.T) {
 	e := New()
 	for i := Time(1); i <= 7; i++ {
-		e.At(i, func() {})
+		e.AtFunc(i, func(any) {}, nil)
 	}
 	e.Run()
 	if e.Processed() != 7 {
@@ -152,7 +152,7 @@ func TestEventOrderProperty(t *testing.T) {
 		for i, r := range raw {
 			at := Time(r % 997)
 			i := i
-			e.At(at, func() { got = append(got, fired{e.Now(), i}) })
+			e.AtFunc(at, func(any) { got = append(got, fired{e.Now(), i}) }, nil)
 		}
 		e.Run()
 		if len(got) != len(raw) {
@@ -185,11 +185,11 @@ func TestWakerCoalesces(t *testing.T) {
 	e := New()
 	calls := 0
 	w := NewWaker(e, func() { calls++ })
-	e.At(10, func() {
+	e.AtFunc(10, func(any) {
 		w.Wake()
 		w.Wake()
 		w.Wake()
-	})
+	}, nil)
 	e.Run()
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1 (coalesced)", calls)
@@ -201,10 +201,10 @@ func TestWakerEarlierRequestWins(t *testing.T) {
 	var at []Time
 	var w *Waker
 	w = NewWaker(e, func() { at = append(at, e.Now()) })
-	e.At(0, func() {
+	e.AtFunc(0, func(any) {
 		w.WakeAt(50)
 		w.WakeAt(20) // supersedes the 50
-	})
+	}, nil)
 	e.Run()
 	if len(at) != 1 || at[0] != 20 {
 		t.Fatalf("wake times = %v, want [20]", at)
@@ -217,10 +217,10 @@ func TestWakerLaterRequestAbsorbed(t *testing.T) {
 	w := NewWaker(e, func() {})
 	w2 := NewWaker(e, func() { at = append(at, e.Now()) })
 	_ = w
-	e.At(0, func() {
+	e.AtFunc(0, func(any) {
 		w2.WakeAt(20)
 		w2.WakeAt(50) // absorbed: a wake at 20 already covers it
-	})
+	}, nil)
 	e.Run()
 	if len(at) != 1 || at[0] != 20 {
 		t.Fatalf("wake times = %v, want [20]", at)
@@ -237,7 +237,7 @@ func TestWakerReusableAfterFiring(t *testing.T) {
 			w.WakeAt(e.Now() + 30)
 		}
 	})
-	e.At(10, func() { w.Wake() })
+	e.AtFunc(10, func(any) { w.Wake() }, nil)
 	e.Run()
 	if len(at) != 2 || at[0] != 10 || at[1] != 40 {
 		t.Fatalf("wake times = %v, want [10 40]", at)
@@ -248,7 +248,7 @@ func TestWakerPastClamps(t *testing.T) {
 	e := New()
 	fired := Time(-1)
 	w := NewWaker(e, func() { fired = e.Now() })
-	e.At(100, func() { w.WakeAt(10) }) // in the past: clamps to now
+	e.AtFunc(100, func(any) { w.WakeAt(10) }, nil) // in the past: clamps to now
 	e.Run()
 	if fired != 100 {
 		t.Fatalf("fired at %v, want 100", fired)
@@ -298,7 +298,7 @@ func TestWakerSameInstantRearmFiresExactlyOnceMore(t *testing.T) {
 			w.WakeAt(e.Now())
 		}
 	})
-	e.At(10, func() { w.Wake() })
+	e.AtFunc(10, func(any) { w.Wake() }, nil)
 	e.Run()
 	if fires != 2 {
 		t.Fatalf("fires = %d, want 2 (original + one same-instant re-arm)", fires)
@@ -324,7 +324,7 @@ func TestWakerSameInstantRearmChainProperty(t *testing.T) {
 				w.WakeAt(e.Now())
 			}
 		})
-		e.At(5, func() { w.Wake() })
+		e.AtFunc(5, func(any) { w.Wake() }, nil)
 		e.Run()
 		return fires == chain+1 && e.Now() == 5
 	}

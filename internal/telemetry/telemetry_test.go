@@ -11,10 +11,10 @@ import (
 func TestIntegratorAvg(t *testing.T) {
 	eng := sim.New()
 	g := NewIntegrator(eng)
-	eng.At(0, func() { g.Set(2) })
-	eng.At(10, func() { g.Set(4) })
-	eng.At(30, func() { g.Set(0) })
-	eng.At(40, func() {})
+	eng.AtFunc(0, func(any) { g.Set(2) }, nil)
+	eng.AtFunc(10, func(any) { g.Set(4) }, nil)
+	eng.AtFunc(30, func(any) { g.Set(0) }, nil)
+	eng.AtFunc(40, func(any) {}, nil)
 	eng.Run()
 	// levels: 2 for [0,10), 4 for [10,30), 0 for [30,40) => (20+80+0)/40 = 2.5
 	if got := g.Avg(); math.Abs(got-2.5) > 1e-12 {
@@ -28,9 +28,9 @@ func TestIntegratorAvg(t *testing.T) {
 func TestIntegratorResetPreservesLevel(t *testing.T) {
 	eng := sim.New()
 	g := NewIntegrator(eng)
-	eng.At(0, func() { g.Set(3) })
-	eng.At(10, func() { g.Reset() })
-	eng.At(20, func() {})
+	eng.AtFunc(0, func(any) { g.Set(3) }, nil)
+	eng.AtFunc(10, func(any) { g.Reset() }, nil)
+	eng.AtFunc(20, func(any) {}, nil)
 	eng.Run()
 	if got := g.Avg(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("Avg after reset = %v, want 3", got)
@@ -54,7 +54,7 @@ func TestIntegratorNegativePanics(t *testing.T) {
 func TestCounterRate(t *testing.T) {
 	eng := sim.New()
 	c := NewCounter(eng)
-	eng.At(sim.Microsecond, func() { c.IncN(1000) })
+	eng.AtFunc(sim.Microsecond, func(any) { c.IncN(1000) }, nil)
 	eng.Run()
 	// 1000 events in 1us = 1e9 events/s
 	if got := c.RatePerSecond(); math.Abs(got-1e9) > 1 {
@@ -68,8 +68,8 @@ func TestCounterRate(t *testing.T) {
 func TestCounterReset(t *testing.T) {
 	eng := sim.New()
 	c := NewCounter(eng)
-	eng.At(10, func() { c.Inc(); c.Reset() })
-	eng.At(20, func() { c.Inc() })
+	eng.AtFunc(10, func(any) { c.Inc(); c.Reset() }, nil)
+	eng.AtFunc(20, func(any) { c.Inc() }, nil)
 	eng.Run()
 	if c.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", c.Count())
@@ -84,8 +84,8 @@ func TestLatencyLittlesLaw(t *testing.T) {
 	const d = 70 * sim.Nanosecond
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 10 * sim.Nanosecond
-		eng.At(at, func() { l.Enter() })
-		eng.At(at+d, func() { l.Exit() })
+		eng.AtFunc(at, func(any) { l.Enter() }, nil)
+		eng.AtFunc(at+d, func(any) { l.Exit() }, nil)
 	}
 	eng.Run()
 	if got := l.AvgNanos(); math.Abs(got-70) > 0.5 {
@@ -107,8 +107,8 @@ func TestLatencyMatchesMeanResidencyProperty(t *testing.T) {
 			d := sim.Time(int(r)+1) * sim.Nanosecond
 			at := sim.Time(i) * 5 * sim.Nanosecond
 			sum += d.Nanoseconds()
-			eng.At(at, func() { l.Enter() })
-			eng.At(at+d, func() { l.Exit() })
+			eng.AtFunc(at, func(any) { l.Enter() }, nil)
+			eng.AtFunc(at+d, func(any) { l.Exit() }, nil)
 		}
 		eng.Run()
 		want := sum / float64(len(raw))
@@ -123,11 +123,11 @@ func TestLatencyMatchesMeanResidencyProperty(t *testing.T) {
 func TestFracTimer(t *testing.T) {
 	eng := sim.New()
 	f := NewFracTimer(eng)
-	eng.At(0, func() { f.Set(true) })
-	eng.At(25, func() { f.Set(false) })
-	eng.At(50, func() { f.Set(true) })
-	eng.At(75, func() { f.Set(false) })
-	eng.At(100, func() {})
+	eng.AtFunc(0, func(any) { f.Set(true) }, nil)
+	eng.AtFunc(25, func(any) { f.Set(false) }, nil)
+	eng.AtFunc(50, func(any) { f.Set(true) }, nil)
+	eng.AtFunc(75, func(any) { f.Set(false) }, nil)
+	eng.AtFunc(100, func(any) {}, nil)
 	eng.Run()
 	if got := f.Frac(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("Frac = %v, want 0.5", got)
@@ -137,8 +137,8 @@ func TestFracTimer(t *testing.T) {
 func TestFracTimerOpenInterval(t *testing.T) {
 	eng := sim.New()
 	f := NewFracTimer(eng)
-	eng.At(50, func() { f.Set(true) })
-	eng.At(100, func() {})
+	eng.AtFunc(50, func(any) { f.Set(true) }, nil)
+	eng.AtFunc(100, func(any) {}, nil)
 	eng.Run()
 	if got := f.Frac(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("Frac with condition still on = %v, want 0.5", got)
@@ -151,9 +151,9 @@ func TestFracTimerOpenInterval(t *testing.T) {
 func TestFracTimerIdempotentSet(t *testing.T) {
 	eng := sim.New()
 	f := NewFracTimer(eng)
-	eng.At(0, func() { f.Set(true); f.Set(true) })
-	eng.At(10, func() { f.Set(false); f.Set(false) })
-	eng.At(20, func() {})
+	eng.AtFunc(0, func(any) { f.Set(true); f.Set(true) }, nil)
+	eng.AtFunc(10, func(any) { f.Set(false); f.Set(false) }, nil)
+	eng.AtFunc(20, func(any) {}, nil)
 	eng.Run()
 	if got := f.Frac(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("Frac = %v, want 0.5", got)
@@ -163,9 +163,9 @@ func TestFracTimerIdempotentSet(t *testing.T) {
 func TestFracTimerResetWhileOn(t *testing.T) {
 	eng := sim.New()
 	f := NewFracTimer(eng)
-	eng.At(0, func() { f.Set(true) })
-	eng.At(10, func() { f.Reset() })
-	eng.At(20, func() {})
+	eng.AtFunc(0, func(any) { f.Set(true) }, nil)
+	eng.AtFunc(10, func(any) { f.Reset() }, nil)
+	eng.AtFunc(20, func(any) {}, nil)
 	eng.Run()
 	if got := f.Frac(); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("Frac after reset while on = %v, want 1.0", got)
@@ -388,9 +388,9 @@ func TestLatencyAvgNanosDegenerateWindowIsNaN(t *testing.T) {
 	// instead of silently reporting 0 ns.
 	eng := sim.New()
 	l := NewLatency(eng)
-	eng.At(0, l.Enter)
-	eng.At(10*sim.Nanosecond, func() { l.Reset() })
-	eng.At(20*sim.Nanosecond, func() {})
+	eng.AtFunc(0, func(any) { l.Enter() }, nil)
+	eng.AtFunc(10*sim.Nanosecond, func(any) { l.Reset() }, nil)
+	eng.AtFunc(20*sim.Nanosecond, func(any) {}, nil)
 	eng.Run()
 	if got := l.AvgNanos(); !math.IsNaN(got) {
 		t.Fatalf("AvgNanos = %v for occupied zero-arrival window, want NaN", got)
@@ -398,7 +398,7 @@ func TestLatencyAvgNanosDegenerateWindowIsNaN(t *testing.T) {
 	// An idle window (no occupancy, no arrivals) stays a plain 0.
 	eng2 := sim.New()
 	l2 := NewLatency(eng2)
-	eng2.At(20*sim.Nanosecond, func() {})
+	eng2.AtFunc(20*sim.Nanosecond, func(any) {}, nil)
 	eng2.Run()
 	if got := l2.AvgNanos(); got != 0 {
 		t.Fatalf("AvgNanos = %v for idle window, want 0", got)
@@ -416,8 +416,8 @@ func TestLatencyDirectSamplingMatchesResidency(t *testing.T) {
 	const d = 42 * sim.Nanosecond
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i) * 100 * sim.Nanosecond
-		eng.At(at, l.Enter)
-		eng.At(at+d, l.Exit)
+		eng.AtFunc(at, func(any) { l.Enter() }, nil)
+		eng.AtFunc(at+d, func(any) { l.Exit() }, nil)
 	}
 	eng.Run()
 	if l.DirectCount() != 20 {
@@ -437,10 +437,10 @@ func TestLatencyDirectSamplingOutOfOrderUnbiased(t *testing.T) {
 	l.EnableDirectSampling()
 	// Two overlapping requests completing in reverse order:
 	// A enters 0 exits 100, B enters 10 exits 50. True mean (100+40)/2 = 70.
-	eng.At(0, l.Enter)
-	eng.At(10*sim.Nanosecond, l.Enter)
-	eng.At(50*sim.Nanosecond, l.Exit)  // B finishes first
-	eng.At(100*sim.Nanosecond, l.Exit) // then A
+	eng.AtFunc(0, func(any) { l.Enter() }, nil)
+	eng.AtFunc(10*sim.Nanosecond, func(any) { l.Enter() }, nil)
+	eng.AtFunc(50*sim.Nanosecond, func(any) { l.Exit() }, nil)  // B finishes first
+	eng.AtFunc(100*sim.Nanosecond, func(any) { l.Exit() }, nil) // then A
 	eng.Run()
 	if got := l.AvgNanosDirect(); math.Abs(got-70) > 1e-9 {
 		t.Fatalf("AvgNanosDirect = %v, want 70 (order-invariant mean)", got)
@@ -453,9 +453,9 @@ func TestLatencyDirectSamplingResetPreservesPending(t *testing.T) {
 	eng := sim.New()
 	l := NewLatency(eng)
 	l.EnableDirectSampling()
-	eng.At(0, l.Enter)
-	eng.At(30*sim.Nanosecond, func() { l.Reset() })
-	eng.At(80*sim.Nanosecond, l.Exit)
+	eng.AtFunc(0, func(any) { l.Enter() }, nil)
+	eng.AtFunc(30*sim.Nanosecond, func(any) { l.Reset() }, nil)
+	eng.AtFunc(80*sim.Nanosecond, func(any) { l.Exit() }, nil)
 	eng.Run()
 	if l.DirectCount() != 1 {
 		t.Fatalf("DirectCount = %d, want 1", l.DirectCount())
