@@ -15,6 +15,8 @@
 package apps
 
 import (
+	"math/rand/v2"
+
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -57,7 +59,7 @@ func DefaultRedisConfig() RedisConfig {
 type Redis struct {
 	cfg  RedisConfig
 	base mem.Addr
-	rng  interface{ Int64N(int64) int64 }
+	rng  *rand.Rand
 
 	phase     int // 0 compute, 1 chain, 2 value
 	readyAt   sim.Time
@@ -169,46 +171,4 @@ func NewGAPBSPageRank(base mem.Addr, seed uint64) cpu.Generator {
 // per core relative to PageRank.
 func NewGAPBSBC(base mem.Addr, seed uint64) cpu.Generator {
 	return workload.NewMix(base, 5<<30, 0.20, 12*sim.Nanosecond, seed)
-}
-
-// redisState is the snapshot of a Redis generator.
-type redisState struct {
-	rng       any
-	phase     int
-	readyAt   sim.Time
-	chainLeft int
-	valueLeft int
-	valueBase mem.Addr
-	valueEnd  mem.Addr
-	pendingWB []mem.Addr
-	outstand  int
-	issuedAll bool
-}
-
-// SaveState implements sim.Stateful.
-func (r *Redis) SaveState() any {
-	st := redisState{
-		phase: r.phase, readyAt: r.readyAt,
-		chainLeft: r.chainLeft, valueLeft: r.valueLeft,
-		valueBase: r.valueBase, valueEnd: r.valueEnd,
-		pendingWB: append([]mem.Addr(nil), r.pendingWB...),
-		outstand:  r.outstanding, issuedAll: r.issuedAll,
-	}
-	if rng, ok := r.rng.(*sim.Rand); ok {
-		st.rng = rng.SaveState()
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (r *Redis) LoadState(state any) {
-	st := state.(redisState)
-	r.phase, r.readyAt = st.phase, st.readyAt
-	r.chainLeft, r.valueLeft = st.chainLeft, st.valueLeft
-	r.valueBase, r.valueEnd = st.valueBase, st.valueEnd
-	r.pendingWB = append(r.pendingWB[:0], st.pendingWB...)
-	r.outstanding, r.issuedAll = st.outstand, st.issuedAll
-	if rng, ok := r.rng.(*sim.Rand); ok {
-		rng.LoadState(st.rng)
-	}
 }

@@ -115,7 +115,6 @@ func New(eng *sim.Engine, cfg Config) *Auditor {
 		return nil
 	}
 	a := &Auditor{eng: eng, cfg: cfg.withDefaults()}
-	eng.Register(a)
 	eng.SetEventHook(a.cfg.Every, a.CheckNow)
 	return a
 }
@@ -275,40 +274,4 @@ func (a *Auditor) Report() string {
 		fmt.Fprintf(&b, "%s\n", v.String())
 	}
 	return b.String()
-}
-
-// auditorState is the snapshot of an Auditor: per-check trip latches and the
-// violation log. The check registrations themselves are construction-time.
-type auditorState struct {
-	checkTripped []bool
-	latTripped   []bool
-	violations   []Violation
-}
-
-// SaveState implements sim.Stateful.
-func (a *Auditor) SaveState() any {
-	st := auditorState{
-		checkTripped: make([]bool, len(a.checks)),
-		latTripped:   make([]bool, len(a.lats)),
-		violations:   append([]Violation(nil), a.violations...),
-	}
-	for i := range a.checks {
-		st.checkTripped[i] = a.checks[i].tripped
-	}
-	for i := range a.lats {
-		st.latTripped[i] = a.lats[i].tripped
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (a *Auditor) LoadState(state any) {
-	st := state.(auditorState)
-	for i := range a.checks {
-		a.checks[i].tripped = st.checkTripped[i]
-	}
-	for i := range a.lats {
-		a.lats[i].tripped = st.latTripped[i]
-	}
-	a.violations = append(a.violations[:0], st.violations...)
 }

@@ -164,31 +164,3 @@ func (d *DDIO) Read(a mem.Addr) bool {
 
 // ResetStats clears hit/miss/eviction counters.
 func (d *DDIO) ResetStats() { d.Hits, d.Misses, d.Evictions = 0, 0, 0 }
-
-// ddioState is the snapshot of a DDIO region.
-type ddioState struct {
-	sets                    [][]way
-	clock                   uint64
-	hits, misses, evictions uint64
-}
-
-// SaveState implements sim.Stateful.
-func (d *DDIO) SaveState() any {
-	st := ddioState{clock: d.clock, hits: d.Hits, misses: d.Misses, evictions: d.Evictions}
-	if d.sets != nil {
-		st.sets = make([][]way, len(d.sets))
-		for i, s := range d.sets {
-			st.sets[i] = append([]way(nil), s...)
-		}
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (d *DDIO) LoadState(state any) {
-	st := state.(ddioState)
-	d.clock, d.Hits, d.Misses, d.Evictions = st.clock, st.hits, st.misses, st.evictions
-	for i, s := range st.sets {
-		copy(d.sets[i], s)
-	}
-}

@@ -14,6 +14,8 @@
 package cha
 
 import (
+	"math/rand/v2"
+
 	"repro/internal/audit"
 	"repro/internal/cache"
 	"repro/internal/dram"
@@ -128,7 +130,7 @@ type CHA struct {
 	cfg  Config
 	mc   *dram.Controller
 	ddio *cache.DDIO
-	rng  *sim.Rand
+	rng  *rand.Rand
 
 	readInUse  int
 	writeInUse int
@@ -208,9 +210,6 @@ func New(eng *sim.Engine, cfg Config, mc *dram.Controller, ddio *cache.DDIO) *CH
 		c.stats.ReadMCLat[i] = telemetry.NewLatency(eng)
 		c.stats.WriteMCLat[i] = telemetry.NewLatency(eng)
 	}
-	eng.Register(c)
-	eng.Register(c.rng)
-	eng.Register(ddio)
 	c.processFn = c.processEvent
 	c.llcReadFn = c.llcReadEvent
 	c.dispatchRdFn = c.dispatchReadEvent
@@ -524,65 +523,3 @@ func (c *CHA) ReadComplete(r *mem.Request) {
 
 // WPQSpaceFreed implements dram.Client: drain the write backlog.
 func (c *CHA) WPQSpaceFreed(int) { c.drainWrites() }
-
-// SaveState implements sim.Stateful. The carried request is only reachable
-// through this arg while the completion event is in flight, so its value
-// rides along.
-func (a *ddioWriteArg) SaveState() any {
-	st := ddioWriteArgState{c: a.c, r: a.r, wb: a.wb, hasWB: a.hasWB}
-	if a.r != nil {
-		st.rVal = *a.r
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (a *ddioWriteArg) LoadState(state any) {
-	st := state.(ddioWriteArgState)
-	a.c, a.r, a.wb, a.hasWB = st.c, st.r, st.wb, st.hasWB
-	if a.r != nil {
-		*a.r = st.rVal
-	}
-}
-
-type ddioWriteArgState struct {
-	c     *CHA
-	r     *mem.Request
-	rVal  mem.Request
-	wb    mem.Addr
-	hasWB bool
-}
-
-// chaState is the snapshot of a CHA.
-type chaState struct {
-	readInUse, writeInUse int
-	admitQ                mem.QueueState
-	readRetry             mem.QueueState
-	wBacklog              mem.QueueState
-	dirPending            mem.QueueState
-	ddioFree              []*ddioWriteArg
-}
-
-// SaveState implements sim.Stateful.
-func (c *CHA) SaveState() any {
-	return chaState{
-		readInUse:  c.readInUse,
-		writeInUse: c.writeInUse,
-		admitQ:     mem.SaveQueue(c.admitQ),
-		readRetry:  mem.SaveQueue(c.readRetry),
-		wBacklog:   mem.SaveQueue(c.wBacklog),
-		dirPending: mem.SaveQueue(c.dirPending),
-		ddioFree:   append([]*ddioWriteArg(nil), c.ddioFree...),
-	}
-}
-
-// LoadState implements sim.Stateful.
-func (c *CHA) LoadState(state any) {
-	st := state.(chaState)
-	c.readInUse, c.writeInUse = st.readInUse, st.writeInUse
-	c.admitQ = st.admitQ.Restore(c.admitQ)
-	c.readRetry = st.readRetry.Restore(c.readRetry)
-	c.wBacklog = st.wBacklog.Restore(c.wBacklog)
-	c.dirPending = st.dirPending.Restore(c.dirPending)
-	c.ddioFree = append(c.ddioFree[:0], st.ddioFree...)
-}

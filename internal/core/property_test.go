@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ import (
 // standing in for the CHA -> MC -> DRAM path with arbitrary contention.
 type randomSink struct {
 	eng *sim.Engine
-	rng *sim.Rand
+	rng *rand.Rand
 }
 
 func (s *randomSink) Submit(r *mem.Request) {

@@ -177,8 +177,6 @@ func New(eng *sim.Engine, cfg Config, index int, c mem.Submitter, gen Generator)
 		core.pf = &pf
 		core.pfWait = make(map[mem.Addr][]Access)
 	}
-	eng.Register(core)
-	eng.Register(core.stats.ReadTail)
 	core.waker = sim.NewWaker(eng, core.pump)
 	core.submitFn = core.submitEvent
 	if aud := cfg.Audit; aud.Enabled() {
@@ -319,64 +317,3 @@ func (c *Core) SetIssueGap(g sim.Time) {
 
 // IssueGap reports the current minimum issue spacing.
 func (c *Core) IssueGap() sim.Time { return c.cfg.IssueGap }
-
-// SaveState implements sim.Stateful: pooled completion args in flight are
-// restored in place by the engine's live-event walk.
-func (a *completeArg) SaveState() any {
-	return completeArg{c: a.c, acc: a.acc, allocAt: a.allocAt}
-}
-
-// LoadState implements sim.Stateful.
-func (a *completeArg) LoadState(state any) {
-	st := state.(completeArg)
-	a.c, a.acc, a.allocAt = st.c, st.acc, st.allocAt
-}
-
-// coreState is the snapshot of a Core. The issue gap is part of it because
-// host congestion controllers mutate it at runtime.
-type coreState struct {
-	issueGap     sim.Time
-	free         int
-	nextIssueAt  sim.Time
-	ids          mem.IDGen
-	completeFree []*completeArg
-	pf           prefetcherState
-	hasPF        bool
-	pfWaitKeys   []mem.Addr
-	pfWaitVals   [][]Access
-}
-
-// SaveState implements sim.Stateful.
-func (c *Core) SaveState() any {
-	st := coreState{
-		issueGap:     c.cfg.IssueGap,
-		free:         c.free,
-		nextIssueAt:  c.nextIssueAt,
-		ids:          c.ids,
-		completeFree: append([]*completeArg(nil), c.completeFree...),
-	}
-	if c.pf != nil {
-		st.hasPF = true
-		st.pf = c.pf.saveState()
-		for a, w := range c.pfWait {
-			st.pfWaitKeys = append(st.pfWaitKeys, a)
-			st.pfWaitVals = append(st.pfWaitVals, append([]Access(nil), w...))
-		}
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (c *Core) LoadState(state any) {
-	st := state.(coreState)
-	c.cfg.IssueGap = st.issueGap
-	c.free, c.nextIssueAt, c.ids = st.free, st.nextIssueAt, st.ids
-	c.completeFree = append(c.completeFree[:0], st.completeFree...)
-	if st.hasPF {
-		c.pf.loadState(st.pf)
-		clear(c.pfWait)
-		for i, a := range st.pfWaitKeys {
-			c.pfWait[a] = append([]Access(nil), st.pfWaitVals[i]...)
-		}
-	}
-}

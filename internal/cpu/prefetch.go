@@ -158,48 +158,3 @@ func (p *Prefetcher) pruneReadyOrder() {
 		p.readyHead = 0
 	}
 }
-
-// prefetcherState is the snapshot of a Prefetcher.
-type prefetcherState struct {
-	lastAddr   mem.Addr
-	streak     int
-	armed      bool
-	nextPF     mem.Addr
-	inflight   []mem.Addr
-	ready      []mem.Addr
-	readyOrder []mem.Addr
-	free       int
-}
-
-func (p *Prefetcher) saveState() prefetcherState {
-	st := prefetcherState{
-		lastAddr:   p.lastAddr,
-		streak:     p.streak,
-		armed:      p.armed,
-		nextPF:     p.nextPF,
-		readyOrder: append([]mem.Addr(nil), p.readyOrder[p.readyHead:]...),
-		free:       p.free,
-	}
-	for a := range p.inflight {
-		st.inflight = append(st.inflight, a)
-	}
-	for a := range p.ready {
-		st.ready = append(st.ready, a)
-	}
-	return st
-}
-
-func (p *Prefetcher) loadState(st prefetcherState) {
-	p.init()
-	p.lastAddr, p.streak, p.armed, p.nextPF, p.free = st.lastAddr, st.streak, st.armed, st.nextPF, st.free
-	clear(p.inflight)
-	for _, a := range st.inflight {
-		p.inflight[a] = true
-	}
-	clear(p.ready)
-	for _, a := range st.ready {
-		p.ready[a] = true
-	}
-	p.readyOrder = append(p.readyOrder[:0], st.readyOrder...)
-	p.readyHead = 0
-}

@@ -133,7 +133,6 @@ func New(eng *sim.Engine, cfg Config) *Expander {
 	}
 	e.cfg = cfg
 	e.linePeriod = cfg.LinePeriod
-	eng.Register(e)
 	e.mc = dram.New(eng, cfg.MC, mem.MustMapper(cfg.Mapper), e)
 	e.arriveFn = e.arriveEvent
 	e.ackFn = e.ackEvent
@@ -238,23 +237,3 @@ func (e *Expander) ReadComplete(r *mem.Request) {
 
 // WPQSpaceFreed implements dram.Client.
 func (e *Expander) WPQSpaceFreed(int) { e.drain() }
-
-// expanderState is the snapshot of an Expander; its internal memory
-// controller registers separately in dram.New.
-type expanderState struct {
-	freeAt     [2]sim.Time
-	linePeriod sim.Time
-	wBacklog   mem.QueueState
-}
-
-// SaveState implements sim.Stateful.
-func (e *Expander) SaveState() any {
-	return expanderState{freeAt: e.freeAt, linePeriod: e.linePeriod, wBacklog: mem.SaveQueue(e.wBacklog)}
-}
-
-// LoadState implements sim.Stateful.
-func (e *Expander) LoadState(state any) {
-	st := state.(expanderState)
-	e.freeAt, e.linePeriod = st.freeAt, st.linePeriod
-	e.wBacklog = st.wBacklog.Restore(e.wBacklog)
-}

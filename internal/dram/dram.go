@@ -291,8 +291,6 @@ func New(eng *sim.Engine, cfg Config, mapper *mem.Mapper, client Client) *Contro
 			BankDeviation: &telemetry.Samples{},
 		},
 	}
-	eng.Register(c)
-	eng.Register(c.stats.BankDeviation)
 	for i := 0; i < mapper.Channels(); i++ {
 		ch := &channel{
 			ctl:       c,
@@ -685,66 +683,4 @@ func (ch *channel) burstDone(r *mem.Request) {
 		}
 	}
 	ch.waker.Wake()
-}
-
-// channelState is the snapshot of one channel.
-type channelState struct {
-	mode         mem.Kind
-	busyTill     sim.Time
-	banks        []bank
-	rdWait       mem.QueueState
-	wrWait       mem.QueueState
-	rdCount      int
-	wrCount      int
-	drainIssued  int
-	lastDrainEnd sim.Time
-	throttled    Timing
-	isThrottled  bool // whether ch.timing pointed at the throttled copy
-	bankLoads    []int
-	sampleCount  int
-}
-
-// SaveState implements sim.Stateful.
-func (c *Controller) SaveState() any {
-	states := make([]channelState, len(c.chans))
-	for i, ch := range c.chans {
-		states[i] = channelState{
-			mode:         ch.mode,
-			busyTill:     ch.busyTill,
-			banks:        append([]bank(nil), ch.banks...),
-			rdWait:       mem.SaveQueue(ch.rdWait),
-			wrWait:       mem.SaveQueue(ch.wrWait),
-			rdCount:      ch.rdCount,
-			wrCount:      ch.wrCount,
-			drainIssued:  ch.drainIssued,
-			lastDrainEnd: ch.lastDrainEnd,
-			throttled:    ch.throttled,
-			isThrottled:  ch.timing == &ch.throttled,
-			bankLoads:    append([]int(nil), ch.bankLoads...),
-			sampleCount:  ch.sampleCount,
-		}
-	}
-	return states
-}
-
-// LoadState implements sim.Stateful.
-func (c *Controller) LoadState(state any) {
-	states := state.([]channelState)
-	for i, ch := range c.chans {
-		st := states[i]
-		ch.mode, ch.busyTill = st.mode, st.busyTill
-		copy(ch.banks, st.banks)
-		ch.rdWait = st.rdWait.Restore(ch.rdWait)
-		ch.wrWait = st.wrWait.Restore(ch.wrWait)
-		ch.rdCount, ch.wrCount = st.rdCount, st.wrCount
-		ch.drainIssued, ch.lastDrainEnd = st.drainIssued, st.lastDrainEnd
-		ch.throttled = st.throttled
-		if st.isThrottled {
-			ch.timing = &ch.throttled
-		} else {
-			ch.timing = &c.cfg.Timing
-		}
-		copy(ch.bankLoads, st.bankLoads)
-		ch.sampleCount = st.sampleCount
-	}
 }

@@ -187,6 +187,10 @@ func (s Spec) Validate() error {
 	if s.WarmupNs < 0 || s.WindowNs < 0 {
 		return fmt.Errorf("negative interval: warmup_ns=%d window_ns=%d", s.WarmupNs, s.WindowNs)
 	}
+	if s.WindowNs > sim.MaxNanoseconds-s.WarmupNs {
+		return fmt.Errorf("warmup_ns %d + window_ns %d exceeds %d, the longest simulated time",
+			s.WarmupNs, s.WindowNs, sim.MaxNanoseconds)
+	}
 	switch s.Fidelity {
 	case "", FidelitySim, FidelityAnalytic:
 	default:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/host"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -16,8 +17,9 @@ import (
 // for a spec that validates, split it, count its tasks and build its host.
 // Normalization must be idempotent, a raw spec and its normalized form must
 // canonicalize alike, canonical bytes must survive decode and re-encode,
-// and a valid spec must describe a host the real constructors accept. No
-// simulation runs. The seed corpus is testdata/fuzz/FuzzSpec.
+// a valid spec's times must survive conversion to sim.Time, and a valid
+// spec must describe a host the real constructors accept. No simulation
+// runs. The seed corpus is testdata/fuzz/FuzzSpec.
 //
 //	go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 30s ./internal/exp/
 func FuzzSpec(f *testing.F) {
@@ -45,10 +47,34 @@ func FuzzSpec(f *testing.F) {
 		if again, err := json.Marshal(d); err != nil || !bytes.Equal(again, canon) {
 			t.Fatalf("canonical bytes do not survive decode and re-encode:\n%s\n%s (%v)", canon, again, err)
 		}
+		times := [][]int64{{n.WarmupNs}, {n.WarmupNs, n.WindowNs}}
+		for _, w := range n.Faults {
+			times = append(times, []int64{w.StartNs}, []int64{w.StartNs, w.DurationNs})
+		}
+		for _, ns := range times {
+			if !fitsSimTime(ns...) {
+				t.Fatalf("valid spec %s: the sum of %v ns overflows or wraps sim.Time", canon, ns)
+			}
+		}
 		n.Points()
 		SpecTasks(n)
 		buildHost(n)
 	})
+}
+
+// fitsSimTime reports whether the sum of the nanosecond counts xs neither
+// overflows int64 nor wraps when converted to sim.Time picoseconds. It is
+// computed directly, not from the bound Validate enforces.
+func fitsSimTime(xs ...int64) bool {
+	var sum int64
+	for _, x := range xs {
+		next := sum + x
+		if (x > 0 && next < sum) || (x < 0 && next > sum) {
+			return false
+		}
+		sum = next
+	}
+	return sim.Time(sum)*sim.Nanosecond/sim.Nanosecond == sim.Time(sum)
 }
 
 // decodeSpec decodes a spec the way hostnetd decodes a submission.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // fastOpt keeps spec tests cheap; result-affecting knobs live in the spec.
@@ -156,6 +157,9 @@ func TestValidateErrors(t *testing.T) {
 		{Experiment: "quadrant", Cores: []int{0}},
 		{Experiment: "ratio", WriteFracs: []float64{1.5}},
 		{Experiment: "fig3", WarmupNs: -1},
+		// 18446744073709552 ns wraps to a 384 ps window as a sim.Time.
+		{Experiment: "fig3", WarmupNs: 1000, WindowNs: 18446744073709552},
+		{Experiment: "fig3", WarmupNs: sim.MaxNanoseconds, WindowNs: 1},
 		{Experiment: "fig3", Preset: "skylake"},
 		{Experiment: "mcisolation", Reserve: -2},
 	}

@@ -179,13 +179,6 @@ func (f *Fabric) InFlight() int64 {
 	return q + f.Switch.queued()
 }
 
-// Snapshot captures the whole rack's simulation state as a deep copy: the
-// shared engine, every host's domains, all NICs, and the ToR.
-func (f *Fabric) Snapshot() *sim.Snapshot { return f.Eng.Snapshot() }
-
-// Restore rewinds the rack to a snapshot taken on this same fabric.
-func (f *Fabric) Restore(s *sim.Snapshot) { f.Eng.Restore(s) }
-
 // ResetStats starts a fresh measurement window on every probe in the rack.
 func (f *Fabric) ResetStats() {
 	for _, h := range f.Hosts {

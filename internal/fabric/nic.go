@@ -133,7 +133,6 @@ func NewNIC(eng *sim.Engine, cfg NICConfig, io *iio.IIO, sw *Switch, portIdx int
 		RxPauseFrac: telemetry.NewFracTimer(eng),
 		RxQueueOcc:  telemetry.NewIntegrator(eng),
 	}
-	eng.Register(n)
 	n.txWaker = sim.NewWaker(eng, n.kickTx)
 	n.wake = func() { n.waiting = false; n.pump() }
 	n.deliverDone = func() {

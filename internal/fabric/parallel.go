@@ -44,9 +44,8 @@ const (
 	mTxPause                  // switch -> host: PFC toward the host's TX
 )
 
-// xmsg is one cross-partition message. It is an immutable value once posted
-// (safe to share between a snapshot and the live run), and it carries no
-// pointers into the source partition.
+// xmsg is one cross-partition message. It is an immutable value once posted,
+// and it carries no pointers into the source partition.
 type xmsg struct {
 	deliverAt sim.Time
 	src, dst  int32 // partition indices (0 = switch, 1+i = host i)
@@ -337,48 +336,4 @@ func (pf *Parallel) Conservation() (bool, string) {
 		return false, fmt.Sprintf("emitted %d lines but account for %d", sent, acct)
 	}
 	return true, ""
-}
-
-// ParallelSnapshot captures a partitioned rack at a round boundary: one
-// engine snapshot per partition plus the cross-partition accounting. The
-// outboxes are always empty at a boundary (flush drains them), and injected-
-// but-unfired messages live inside their target engine's snapshot as
-// immutable values, so nothing else needs copying.
-type ParallelSnapshot struct {
-	now       sim.Time
-	engines   []*sim.Snapshot
-	posted    []int64
-	delivered []int64
-}
-
-// Snapshot captures the whole partitioned rack. Must be called between
-// RunUntil/Run calls (at a round boundary), which is the only time the rack
-// is externally observable anyway.
-func (pf *Parallel) Snapshot() *ParallelSnapshot {
-	s := &ParallelSnapshot{
-		now:       pf.now,
-		engines:   make([]*sim.Snapshot, len(pf.engines)),
-		posted:    append([]int64(nil), pf.linesPosted...),
-		delivered: append([]int64(nil), pf.linesDelivered...),
-	}
-	for i, e := range pf.engines {
-		s.engines[i] = e.Snapshot()
-	}
-	return s
-}
-
-// Restore rewinds the rack to a snapshot taken on this same rack.
-func (pf *Parallel) Restore(s *ParallelSnapshot) {
-	if len(s.engines) != len(pf.engines) {
-		panic("fabric: snapshot from a different rack shape")
-	}
-	pf.now = s.now
-	copy(pf.linesPosted, s.posted)
-	copy(pf.linesDelivered, s.delivered)
-	for i, e := range pf.engines {
-		e.Restore(s.engines[i])
-	}
-	for p := range pf.outbox {
-		pf.outbox[p] = pf.outbox[p][:0]
-	}
 }

@@ -140,29 +140,6 @@ func TestParallelMatchesSharedPhysics(t *testing.T) {
 	}
 }
 
-// TestParallelSnapshotRestore extends the checkpoint contract to the
-// partitioned rack: snapshot at a round boundary mid-window, run to the end,
-// restore, run again — byte-identical both times, at different worker
-// counts on the resumed leg.
-func TestParallelSnapshotRestore(t *testing.T) {
-	pf := buildParRack(2)
-	pf.RunUntil(parWarm)
-	pf.ResetStats()
-	mid := parWarm + parWindow/3
-	pf.RunUntil(mid)
-	snap := pf.Snapshot()
-	pf.RunUntil(parWarm + parWindow)
-	want := probeParRack(pf)
-
-	for i := 0; i < 2; i++ {
-		pf.Restore(snap)
-		pf.RunUntil(parWarm + parWindow)
-		if got := probeParRack(pf); !reflect.DeepEqual(got, want) {
-			t.Fatalf("restore %d diverged:\ngot  %+v\nwant %+v", i, got, want)
-		}
-	}
-}
-
 // TestParallelRejectsFaults pins the documented constraint: fault injection
 // needs a rack-wide observer, so the partitioned constructor refuses it.
 func TestParallelRejectsFaults(t *testing.T) {

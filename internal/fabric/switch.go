@@ -170,7 +170,6 @@ func NewSwitch(eng *sim.Engine, cfg SwitchConfig, aud *audit.Auditor) *Switch {
 			})
 		}
 	}
-	eng.Register(s)
 	if aud.Enabled() {
 		aud.Check("switch", "lossless", func() (bool, string) {
 			if s.dropTotal != 0 {

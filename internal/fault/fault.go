@@ -163,6 +163,12 @@ func (s Schedule) Normalized() Schedule {
 // MaxWindows bounds a schedule's length; real scenarios use a handful.
 const MaxWindows = 64
 
+// MaxMagnitude bounds the timing multiplier of DRAMThrottle and LaneDegrade.
+// At 1e6 one DRAM column access takes over 13 ms, longer than hostnetd's
+// default 10 ms window cap, and 1e6 times any timing constant in the
+// simulator stays far below the int64 limit of sim.Time.
+const MaxMagnitude = 1e6
+
 // Validate checks the schedule (normalized or not): known kinds, sane
 // intervals and magnitudes, and no overlapping windows of the same kind on
 // the same target — overlap would make apply/clear order ambiguous, so it
@@ -185,6 +191,10 @@ func (s Schedule) Validate() error {
 		if w.DurationNs <= 0 {
 			return fmt.Errorf("fault[%d]: duration_ns %d <= 0", i, w.DurationNs)
 		}
+		if w.DurationNs > sim.MaxNanoseconds-w.StartNs {
+			return fmt.Errorf("fault[%d]: start_ns %d + duration_ns %d exceeds %d, the longest simulated time",
+				i, w.StartNs, w.DurationNs, sim.MaxNanoseconds)
+		}
 		if w.Channel < 0 || w.Bank < 0 {
 			return fmt.Errorf("fault[%d]: negative channel/bank (%d, %d)", i, w.Channel, w.Bank)
 		}
@@ -197,6 +207,9 @@ func (s Schedule) Validate() error {
 			default:
 				if w.Magnitude < 1 {
 					return fmt.Errorf("fault[%d]: %s magnitude %v < 1", i, w.Kind, w.Magnitude)
+				}
+				if w.Magnitude > MaxMagnitude {
+					return fmt.Errorf("fault[%d]: %s magnitude %v exceeds the limit of %g", i, w.Kind, w.Magnitude, MaxMagnitude)
 				}
 			}
 		}
@@ -291,7 +304,6 @@ func NewInjector(eng *sim.Engine, s Schedule) *Injector {
 	in := &Injector{eng: eng, schedule: n}
 	in.applyFn = in.applyEvent
 	in.clearFn = in.clearEvent
-	eng.Register(in)
 	return in
 }
 
@@ -421,20 +433,4 @@ func (in *Injector) dispatch(w *Window, apply bool) {
 			l.FaultSetLineMult(mult)
 		}
 	}
-}
-
-// injectorState is the snapshot of an Injector. The schedule and target
-// lists are construction-time data; only the window accounting moves.
-type injectorState struct {
-	active  int
-	started bool
-}
-
-// SaveState implements sim.Stateful.
-func (in *Injector) SaveState() any { return injectorState{active: in.active, started: in.started} }
-
-// LoadState implements sim.Stateful.
-func (in *Injector) LoadState(state any) {
-	st := state.(injectorState)
-	in.active, in.started = st.active, st.started
 }

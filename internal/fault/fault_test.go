@@ -107,6 +107,14 @@ func TestValidateRejections(t *testing.T) {
 		{"starve magnitude > 1", Schedule{{Kind: IIOStarve, StartNs: 0, DurationNs: 1, Magnitude: 1.5}}},
 		{"throttle magnitude < 1", Schedule{{Kind: DRAMThrottle, StartNs: 0, DurationNs: 1, Magnitude: 0.5}}},
 		{"lane magnitude < 1", Schedule{{Kind: LaneDegrade, StartNs: 0, DurationNs: 1, Magnitude: 0.25}}},
+		{"throttle magnitude 1e7", Schedule{{Kind: DRAMThrottle, StartNs: 0, DurationNs: 1, Magnitude: 1e7}}},
+		{"throttle magnitude 1e300", Schedule{{Kind: DRAMThrottle, StartNs: 0, DurationNs: 1, Magnitude: 1e300}}},
+		{"lane magnitude 1e7", Schedule{{Kind: LaneDegrade, StartNs: 0, DurationNs: 1, Magnitude: 1e7}}},
+		{"lane magnitude 1e300", Schedule{{Kind: LaneDegrade, StartNs: 0, DurationNs: 1, Magnitude: 1e300}}},
+		// 18446744073709552 ns is 2^64 ps rounded up: as a sim.Time it wraps
+		// to 384 ps, so the window would fire at once.
+		{"start wraps sim.Time", Schedule{{Kind: DRAMThrottle, StartNs: 18446744073709552, DurationNs: 50000, Magnitude: 4}}},
+		{"end past the longest time", Schedule{{Kind: PauseStorm, StartNs: sim.MaxNanoseconds, DurationNs: 1}}},
 		{"same-target overlap", Schedule{
 			{Kind: PauseStorm, StartNs: 0, DurationNs: 100},
 			{Kind: PauseStorm, StartNs: 99, DurationNs: 100},
@@ -133,6 +141,9 @@ func TestValidateAccepts(t *testing.T) {
 		{{Kind: DRAMThrottle, StartNs: 0, DurationNs: 100, Channel: 0}, {Kind: DRAMThrottle, StartNs: 0, DurationNs: 100, Channel: 1}},
 		// Different kinds overlap freely.
 		{{Kind: LinkFlap, StartNs: 0, DurationNs: 100}, {Kind: PauseStorm, StartNs: 0, DurationNs: 100}, {Kind: IIOStarve, StartNs: 0, DurationNs: 100}},
+		// The largest multiplier, and a window ending exactly at the bound.
+		{{Kind: DRAMThrottle, StartNs: 0, DurationNs: 100, Magnitude: MaxMagnitude}, {Kind: LaneDegrade, StartNs: 0, DurationNs: 100, Magnitude: MaxMagnitude}},
+		{{Kind: PauseStorm, StartNs: sim.MaxNanoseconds - 100, DurationNs: 100}},
 	}
 	for _, s := range ok {
 		if err := s.Validate(); err != nil {

@@ -222,17 +222,10 @@ func (h *Host) Region(bytes int64) mem.Addr {
 	return base
 }
 
-// AddCore creates a core driven by gen and starts it at time 0. Generators
-// that carry run-position state (cursors, RNG streams, open-loop clocks)
-// implement sim.Stateful and join the engine's snapshot set here, in core
-// order — the registration order is the construction order, which snapshots
-// rely on being deterministic.
+// AddCore creates a core driven by gen and starts it at time 0.
 func (h *Host) AddCore(gen cpu.Generator) *cpu.Core {
 	if len(h.Cores) >= h.Cfg.MaxCores {
 		panic(fmt.Sprintf("host: %s has only %d cores", h.Cfg.Name, h.Cfg.MaxCores))
-	}
-	if st, ok := gen.(sim.Stateful); ok {
-		h.Eng.Register(st)
 	}
 	c := cpu.New(h.Eng, h.Cfg.Core, len(h.Cores), h.ingress, gen)
 	h.Cores = append(h.Cores, c)
@@ -248,16 +241,6 @@ func (h *Host) AddStorage(cfg periph.Config) *periph.Storage {
 	d.Start(0)
 	return d
 }
-
-// Snapshot captures the host's full simulation state — clock, event heap,
-// every credit domain, telemetry windows, RNG streams, fault state — as a
-// deep copy. Continuing to run does not disturb it.
-func (h *Host) Snapshot() *sim.Snapshot { return h.Eng.Snapshot() }
-
-// Restore rewinds the host to a snapshot taken on this same host. The
-// snapshot survives and can be restored again — fork a warmed-up host into
-// as many measurement continuations as needed without re-running warmup.
-func (h *Host) Restore(s *sim.Snapshot) { h.Eng.Restore(s) }
 
 // ResetStats starts a fresh measurement window on every probe in the host.
 func (h *Host) ResetStats() {

@@ -99,7 +99,6 @@ func New(eng *sim.Engine, cfg Config, io *iio.IIO, ch *cha.CHA, cores []*cpu.Cor
 		c.gap = c.baseGap
 	}
 	c.tickFn = c.tickEvent
-	eng.Register(c)
 	if aud := cfg.Audit; aud.Enabled() {
 		aud.Check("hostcc", "gap", func() (bool, string) {
 			if c.gap < c.baseGap || c.gap > cfg.MaxGap {
@@ -151,20 +150,3 @@ func (c *Controller) tick() {
 
 // GapNanos reports the currently applied issue gap in nanoseconds.
 func (c *Controller) GapNanos() float64 { return float64(c.gap) / 1e3 }
-
-// controllerState is the snapshot of a Controller.
-type controllerState struct {
-	baseGap, gap sim.Time
-	running      bool
-}
-
-// SaveState implements sim.Stateful.
-func (c *Controller) SaveState() any {
-	return controllerState{baseGap: c.baseGap, gap: c.gap, running: c.running}
-}
-
-// LoadState implements sim.Stateful.
-func (c *Controller) LoadState(state any) {
-	st := state.(controllerState)
-	c.baseGap, c.gap, c.running = st.baseGap, st.gap, st.running
-}

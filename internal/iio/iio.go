@@ -202,7 +202,6 @@ func New(eng *sim.Engine, cfg Config, c mem.Submitter) *IIO {
 			LinesOut: telemetry.NewCounter(eng),
 		},
 	}
-	eng.Register(i)
 	i.wrLinkWaker = sim.NewWaker(eng, func() { fire(&i.wrWaiters, &i.wrSpare, &i.wrRot) })
 	i.rdPaceWaker = sim.NewWaker(eng, func() { fire(&i.rdWaiters, &i.rdSpare, &i.rdRot) })
 	i.submitFn = i.submitEvent
@@ -396,58 +395,4 @@ func (i *IIO) TryRead(addr mem.Addr, origin int, done func()) bool {
 	}
 	i.eng.AtFunc(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, r)
 	return true
-}
-
-// SaveState implements sim.Stateful: pooled credit-return args in flight are
-// restored in place by the engine's live-event walk. The done callback is the
-// same closure object across a restore; its captured state rewinds through
-// its owner's registration.
-func (a *doneArg) SaveState() any { return doneArg{i: a.i, done: a.done} }
-
-// LoadState implements sim.Stateful.
-func (a *doneArg) LoadState(state any) {
-	st := state.(doneArg)
-	a.i, a.done = st.i, st.done
-}
-
-// iioState is the snapshot of an IIO.
-type iioState struct {
-	wrFree, rdFree         int
-	holdWantWr, holdHeldWr int
-	holdWantRd, holdHeldRd int
-	upFreeAt, dnFreeAt     sim.Time
-	rdPaceAt               sim.Time
-	wrWaiters, rdWaiters   []func()
-	wrRot, rdRot           int
-	ids                    mem.IDGen
-	doneFree               []*doneArg
-}
-
-// SaveState implements sim.Stateful.
-func (i *IIO) SaveState() any {
-	return iioState{
-		wrFree: i.wrFree, rdFree: i.rdFree,
-		holdWantWr: i.holdWantWr, holdHeldWr: i.holdHeldWr,
-		holdWantRd: i.holdWantRd, holdHeldRd: i.holdHeldRd,
-		upFreeAt: i.upFreeAt, dnFreeAt: i.dnFreeAt, rdPaceAt: i.rdPaceAt,
-		wrWaiters: append([]func(){}, i.wrWaiters...),
-		rdWaiters: append([]func(){}, i.rdWaiters...),
-		wrRot:     i.wrRot, rdRot: i.rdRot,
-		ids:      i.ids,
-		doneFree: append([]*doneArg(nil), i.doneFree...),
-	}
-}
-
-// LoadState implements sim.Stateful.
-func (i *IIO) LoadState(state any) {
-	st := state.(iioState)
-	i.wrFree, i.rdFree = st.wrFree, st.rdFree
-	i.holdWantWr, i.holdHeldWr = st.holdWantWr, st.holdHeldWr
-	i.holdWantRd, i.holdHeldRd = st.holdWantRd, st.holdHeldRd
-	i.upFreeAt, i.dnFreeAt, i.rdPaceAt = st.upFreeAt, st.dnFreeAt, st.rdPaceAt
-	i.wrWaiters = append(i.wrWaiters[:0], st.wrWaiters...)
-	i.rdWaiters = append(i.rdWaiters[:0], st.rdWaiters...)
-	i.wrRot, i.rdRot = st.wrRot, st.rdRot
-	i.ids = st.ids
-	i.doneFree = append(i.doneFree[:0], st.doneFree...)
 }

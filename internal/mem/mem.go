@@ -113,44 +113,3 @@ func (g *IDGen) Next() uint64 { g.next++; return g.next }
 type Submitter interface {
 	Submit(r *Request)
 }
-
-// SaveState implements sim.Stateful: a request rewinds by restoring its full
-// struct value in place (same object, same Done closure, earlier timestamps).
-func (r *Request) SaveState() any { return *r }
-
-// LoadState implements sim.Stateful.
-func (r *Request) LoadState(state any) { *r = state.(Request) }
-
-// SaveState implements sim.Stateful.
-func (g *IDGen) SaveState() any { return g.next }
-
-// LoadState implements sim.Stateful.
-func (g *IDGen) LoadState(state any) { g.next = state.(uint64) }
-
-// QueueState captures a queue of in-flight requests for snapshotting. The
-// pointers identify the live objects (their Done closures and the references
-// other components hold stay valid across a restore); the values hold the
-// state each object is rewound to.
-type QueueState struct {
-	Ptrs []*Request
-	Vals []Request
-}
-
-// SaveQueue snapshots a request queue.
-func SaveQueue(q []*Request) QueueState {
-	s := QueueState{Ptrs: append([]*Request(nil), q...), Vals: make([]Request, len(q))}
-	for i, r := range q {
-		s.Vals[i] = *r
-	}
-	return s
-}
-
-// Restore rewinds every captured request in place and rebuilds the queue into
-// dst (reusing its backing array).
-func (s QueueState) Restore(dst []*Request) []*Request {
-	dst = append(dst[:0], s.Ptrs...)
-	for i, r := range dst {
-		*r = s.Vals[i]
-	}
-	return dst
-}

@@ -61,7 +61,6 @@ type dctcpFlow struct {
 	inflight int // bytes sent, not yet acked
 	acked    int // bytes acked this window round
 	marked   int // bytes marked this round
-	roundEnd int // bytes outstanding when the round started
 
 	// Receiver state.
 	sockBytes int // bytes in socket buffer awaiting copy
@@ -148,7 +147,6 @@ func NewDCTCPReceiver(eng *sim.Engine, cfg DCTCPConfig, io *iio.IIO) *DCTCPRecei
 		Sent:     telemetry.NewCounter(eng),
 		QueueOcc: telemetry.NewIntegrator(eng),
 	}
-	eng.Register(r)
 	r.wake = func() { r.waiting = false; r.dmaPump() }
 	for i := 0; i < cfg.Flows; i++ {
 		f := &dctcpFlow{rx: r, id: i, cwnd: float64(cfg.InitCwnd)}
@@ -399,84 +397,4 @@ func (g *copyGen) OnComplete(acc cpu.Access, now sim.Time) {
 	}
 	g.pendingWB = append(g.pendingWB, g.appBase+mem.Addr((g.pos*mem.LineSize)%(1<<27)))
 	g.flow.rx.AppBytes.IncN(mem.LineSize)
-}
-
-// SaveState implements sim.Stateful: packets ride the event heap as args, so
-// the engine's live-event walk rewinds them in place.
-func (p *dctcpPacket) SaveState() any {
-	return dctcpPacket{flow: p.flow, bytes: p.bytes, ecn: p.ecn, lines: p.lines}
-}
-
-// LoadState implements sim.Stateful.
-func (p *dctcpPacket) LoadState(state any) {
-	st := state.(dctcpPacket)
-	p.flow, p.bytes, p.ecn, p.lines = st.flow, st.bytes, st.ecn, st.lines
-}
-
-// dctcpFlowState rewinds one flow, including its copy generator.
-type dctcpFlowState struct {
-	cwnd      float64
-	alpha     float64
-	inflight  int
-	acked     int
-	marked    int
-	roundEnd  int
-	sockBytes int
-	retransAt sim.Time
-
-	copyPos        int64
-	copyPendingWB  []mem.Addr
-	copyPacketLeft int
-	copyReadyAt    sim.Time
-}
-
-// dctcpState is the snapshot of a DCTCPReceiver.
-type dctcpState struct {
-	flows       []dctcpFlowState
-	queue       int
-	dmaQueue    []*dctcpPacket
-	dmaQueueVal []dctcpPacket
-	waiting     bool
-	nextLine    int64
-}
-
-// SaveState implements sim.Stateful.
-func (r *DCTCPReceiver) SaveState() any {
-	st := dctcpState{queue: r.queue, waiting: r.waiting, nextLine: r.nextLine}
-	for _, f := range r.flows {
-		st.flows = append(st.flows, dctcpFlowState{
-			cwnd: f.cwnd, alpha: f.alpha, inflight: f.inflight,
-			acked: f.acked, marked: f.marked, roundEnd: f.roundEnd,
-			sockBytes: f.sockBytes, retransAt: f.retransAt,
-			copyPos:        f.copier.pos,
-			copyPendingWB:  append([]mem.Addr(nil), f.copier.pendingWB...),
-			copyPacketLeft: f.copier.packetLeft,
-			copyReadyAt:    f.copier.readyAt,
-		})
-	}
-	for _, p := range r.dmaQueue {
-		st.dmaQueue = append(st.dmaQueue, p)
-		st.dmaQueueVal = append(st.dmaQueueVal, *p)
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (r *DCTCPReceiver) LoadState(state any) {
-	st := state.(dctcpState)
-	r.queue, r.waiting, r.nextLine = st.queue, st.waiting, st.nextLine
-	for i, f := range r.flows {
-		fs := st.flows[i]
-		f.cwnd, f.alpha, f.inflight = fs.cwnd, fs.alpha, fs.inflight
-		f.acked, f.marked, f.roundEnd = fs.acked, fs.marked, fs.roundEnd
-		f.sockBytes, f.retransAt = fs.sockBytes, fs.retransAt
-		f.copier.pos = fs.copyPos
-		f.copier.pendingWB = append(f.copier.pendingWB[:0], fs.copyPendingWB...)
-		f.copier.packetLeft = fs.copyPacketLeft
-		f.copier.readyAt = fs.copyReadyAt
-	}
-	r.dmaQueue = append(r.dmaQueue[:0], st.dmaQueue...)
-	for i, p := range r.dmaQueue {
-		*p = st.dmaQueueVal[i]
-	}
 }

@@ -96,7 +96,6 @@ func NewRDMAWrite(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMAWrite 
 		PauseFrac: telemetry.NewFracTimer(eng),
 		QueueOcc:  telemetry.NewIntegrator(eng),
 	}
-	eng.Register(w)
 	w.arriveFn = w.arriveEvent
 	w.wake = func() { w.waiting = false; w.pump() }
 	if aud := cfg.Audit; aud.Enabled() {
@@ -250,7 +249,6 @@ type RDMARead struct {
 // NewRDMARead builds the read responder.
 func NewRDMARead(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMARead {
 	rd := &RDMARead{eng: eng, cfg: cfg, io: io, Delivered: telemetry.NewCounter(eng)}
-	eng.Register(rd)
 	rd.pumpFn = rd.pumpEvent
 	rd.wake = func() { rd.waiting = false; rd.pump() }
 	return rd
@@ -303,50 +301,3 @@ func (r *RDMARead) BytesPerSec() float64 { return r.Delivered.BytesPerSecond() }
 
 // ResetStats starts a new measurement window.
 func (r *RDMARead) ResetStats() { r.Delivered.Reset() }
-
-// rdmaWriteState is the snapshot of an RDMAWrite receiver.
-type rdmaWriteState struct {
-	queue    int
-	paused   bool
-	xoff     bool
-	linkDown bool
-	storm    bool
-	nextLine int64
-	waiting  bool
-}
-
-// SaveState implements sim.Stateful.
-func (r *RDMAWrite) SaveState() any {
-	return rdmaWriteState{
-		queue: r.queue, paused: r.paused, xoff: r.xoff,
-		linkDown: r.linkDown, storm: r.storm,
-		nextLine: r.nextLine, waiting: r.waiting,
-	}
-}
-
-// LoadState implements sim.Stateful.
-func (r *RDMAWrite) LoadState(state any) {
-	st := state.(rdmaWriteState)
-	r.queue, r.paused, r.xoff = st.queue, st.paused, st.xoff
-	r.linkDown, r.storm = st.linkDown, st.storm
-	r.nextLine, r.waiting = st.nextLine, st.waiting
-}
-
-// rdmaReadState is the snapshot of an RDMARead responder.
-type rdmaReadState struct {
-	nextLine int64
-	paceAt   sim.Time
-	waiting  bool
-	linkDown bool
-}
-
-// SaveState implements sim.Stateful.
-func (r *RDMARead) SaveState() any {
-	return rdmaReadState{nextLine: r.nextLine, paceAt: r.paceAt, waiting: r.waiting, linkDown: r.linkDown}
-}
-
-// LoadState implements sim.Stateful.
-func (r *RDMARead) LoadState(state any) {
-	st := state.(rdmaReadState)
-	r.nextLine, r.paceAt, r.waiting, r.linkDown = st.nextLine, st.paceAt, st.waiting, st.linkDown
-}

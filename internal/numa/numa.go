@@ -94,7 +94,6 @@ func New(eng *sim.Engine, cfg Config, cha0, cha1 mem.Submitter, homeOf func(mem.
 			RemoteWrites: telemetry.NewCounter(eng),
 		},
 	}
-	eng.Register(r)
 	r.stats.LinkBusy[0] = telemetry.NewFracTimer(eng)
 	r.stats.LinkBusy[1] = telemetry.NewFracTimer(eng)
 	for d := 0; d < 2; d++ {
@@ -208,19 +207,4 @@ func (r *Router) FaultSetLineMult(mult float64) {
 		return
 	}
 	r.linePeriod = sim.Time(float64(r.cfg.LinePeriod)*mult + 0.5)
-}
-
-// routerState is the snapshot of a Router.
-type routerState struct {
-	freeAt     [2]sim.Time
-	linePeriod sim.Time
-}
-
-// SaveState implements sim.Stateful.
-func (r *Router) SaveState() any { return routerState{freeAt: r.freeAt, linePeriod: r.linePeriod} }
-
-// LoadState implements sim.Stateful.
-func (r *Router) LoadState(state any) {
-	st := state.(routerState)
-	r.freeAt, r.linePeriod = st.freeAt, st.linePeriod
 }

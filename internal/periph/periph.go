@@ -121,15 +121,12 @@ func New(eng *sim.Engine, cfg Config, io *iio.IIO, origin int) *Storage {
 			Lines:    telemetry.NewCounter(eng),
 		},
 	}
-	eng.Register(s)
 	s.wake = func() { s.waiting = false; s.pump() }
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := fmt.Sprintf("periph/dev%d", origin)
 		aud.Check(domain, "queue_depth", func() (bool, string) {
 			// Before Start fires, no requests exist yet; afterwards every
 			// queue-depth slot is either arming or active (conservation).
-			// The started flag lives on the Storage (not in this closure) so
-			// snapshot restore rewinds it with the rest of the device state.
 			n := s.arming + len(s.active)
 			if n == 0 && !s.started {
 				return true, ""
@@ -239,47 +236,4 @@ func (s *Storage) lineDone(req *request) {
 		s.armRequest()
 	}
 	s.pump()
-}
-
-// requestState rewinds one pooled request in place.
-type requestState struct {
-	toIssue, toComplete int
-}
-
-// storageState is the snapshot of a Storage device.
-type storageState struct {
-	nextLine   int64
-	active     []*request
-	activeVals []requestState
-	free       []*request
-	arming     int
-	waiting    bool
-	started    bool
-}
-
-// SaveState implements sim.Stateful.
-func (s *Storage) SaveState() any {
-	st := storageState{
-		nextLine: s.nextLine,
-		active:   append([]*request(nil), s.active...),
-		free:     append([]*request(nil), s.free...),
-		arming:   s.arming,
-		waiting:  s.waiting,
-		started:  s.started,
-	}
-	for _, r := range s.active {
-		st.activeVals = append(st.activeVals, requestState{toIssue: r.toIssue, toComplete: r.toComplete})
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (s *Storage) LoadState(state any) {
-	st := state.(storageState)
-	s.nextLine, s.arming, s.waiting, s.started = st.nextLine, st.arming, st.waiting, st.started
-	s.active = append(s.active[:0], st.active...)
-	for i, r := range s.active {
-		r.toIssue, r.toComplete = st.activeVals[i].toIssue, st.activeVals[i].toComplete
-	}
-	s.free = append(s.free[:0], st.free...)
 }

@@ -312,6 +312,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"cores over testbed", `{"experiment":"quadrant","quadrant":1,"cores":[9],"warmup_ns":1000,"window_ns":2000}`},
 		{"reserve fills WPQ", `{"experiment":"mcisolation","reserve":48,"warmup_ns":1000,"window_ns":2000}`},
 		{"analytic cores over testbed", `{"experiment":"quadrant","fidelity":"analytic","cores":[64]}`},
+		// Fault strengths and starts that would overflow simulated time.
+		{"fault start wraps", `{"experiment":"quadrant","quadrant":1,"cores":[1],"warmup_ns":1000,"window_ns":2000,` +
+			`"faults":[{"kind":"dram_throttle","start_ns":18446744073709552,"duration_ns":50000,"magnitude":4}]}`},
+		{"fault magnitude 1e300", `{"experiment":"quadrant","quadrant":1,"cores":[1],"warmup_ns":1000,"window_ns":2000,` +
+			`"faults":[{"kind":"dram_throttle","start_ns":1000,"duration_ns":1000,"magnitude":1e300}]}`},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()

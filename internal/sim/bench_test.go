@@ -123,59 +123,3 @@ func BenchmarkHeapPushPopRandom(b *testing.B) {
 	}
 	benchHeapPattern(b, 512, func(i int) Time { return times[i&(1<<16-1)] })
 }
-
-// benchReg is a registered component for the snapshot benchmarks: SaveState
-// boxes a value copy (one allocation per capture), LoadState copies it back
-// in place (none).
-type benchReg struct{ v [8]uint64 }
-
-func (s *benchReg) SaveState() any      { return s.v }
-func (s *benchReg) LoadState(state any) { s.v = state.([8]uint64) }
-
-// benchSnapshotEngine builds a warm engine with 512 pending events and one
-// registered component — the shape both snapshot benchmarks measure.
-func benchSnapshotEngine() (*Engine, *benchReg) {
-	e := New()
-	r := &benchReg{}
-	e.Register(r)
-	fn := func(any) {}
-	for i := 0; i < 512; i++ {
-		e.AtFunc(Time(i), fn, nil)
-	}
-	e.RunUntil(100)
-	return e, r
-}
-
-// BenchmarkSnapshotCapture measures Engine.Snapshot on a warm engine. A
-// capture is a deep copy, so it allocates — but a fixed, deterministic
-// number of times (the snapshot struct, one copy per scheduler slice, the
-// component-state table, and each registered SaveState). CI runs this with
-// -benchmem and fails if allocs/op grows past the BENCH_checkpoint.json
-// baseline: an accidental per-event or per-slot allocation in the capture
-// path would multiply, not add.
-func BenchmarkSnapshotCapture(b *testing.B) {
-	e, _ := benchSnapshotEngine()
-	snap := e.Snapshot() // warm-up so -benchtime=1x sees the steady-state count
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap = e.Snapshot()
-	}
-	b.StopTimer()
-	e.Restore(snap)
-}
-
-// BenchmarkSnapshotRestore measures Engine.Restore — the hot half of
-// checkpoint forking, paid once per forked continuation. Restore writes into
-// the engine's retained slice capacities in place, so after the first call
-// it must not allocate at all; CI gates it at 0 allocs/op.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	e, _ := benchSnapshotEngine()
-	snap := e.Snapshot()
-	e.Restore(snap) // warm the append capacities
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Restore(snap)
-	}
-}

@@ -28,20 +28,12 @@
 // hot components schedule with a long-lived handler plus a pooled or
 // already-allocated argument instead of a fresh closure; a cold call site
 // may pass a func(any) literal and a nil arg.
-//
-// # Snapshots
-//
-// Engine.Snapshot captures the full scheduling state — clock, sequence
-// counter, heap, FIFO, slot table — plus the state of every registered
-// Stateful component, and Engine.Restore writes it back in place so the same
-// object graph resumes from the captured instant. Because restore is
-// in-place, event callbacks (bound methods, closures) stay valid: they point
-// at the same components, whose state has been rewound. Event arguments that
-// themselves carry mutable state (an in-flight request, a pooled completion
-// record) implement Stateful and are captured by walking the live slots.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a simulated timestamp or duration in picoseconds.
 type Time int64
@@ -54,6 +46,12 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
+
+// MaxNanoseconds is the largest nanosecond count a Time can hold (about 107
+// simulated days). A larger count wraps when converted with
+// Time(ns) * Nanosecond, so inputs given in nanoseconds are validated
+// against it.
+const MaxNanoseconds = int64(math.MaxInt64 / Nanosecond)
 
 // Nanoseconds reports t as a float64 count of nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
@@ -80,17 +78,6 @@ func (t Time) String() string {
 // scheduling of a component's handler (bound method values, package-level
 // dispatchers) with the per-event state carried in arg.
 type EventFunc func(arg any)
-
-// Stateful is the save/load contract every stateful component implements to
-// participate in engine snapshots. SaveState returns an opaque deep copy of
-// the component's mutable state; LoadState writes that copy back into the
-// same component. Components register at construction via Engine.Register;
-// event arguments (requests, pooled completion records) implement Stateful
-// without registering — the engine captures them by walking live events.
-type Stateful interface {
-	SaveState() any
-	LoadState(state any)
-}
 
 // node is one heap entry: pointer-free so sifts never incur GC write
 // barriers. slot indexes the engine's side table holding (fn, arg).
@@ -145,11 +132,6 @@ type Engine struct {
 	hook      func()
 	hookEvery uint64
 	hookLeft  uint64
-
-	// regs holds every registered Stateful in registration order; snapshots
-	// save and restore them positionally, so construction order (which is
-	// deterministic) defines the layout.
-	regs []Stateful
 }
 
 // New returns a fresh engine with the clock at zero.
@@ -163,11 +145,6 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Pending reports the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.nodes) + e.fifoLen }
-
-// Register adds a Stateful component to the engine's snapshot set.
-// Registration order must be deterministic (it is, when components are
-// constructed in program order) because snapshots restore positionally.
-func (e *Engine) Register(s Stateful) { e.regs = append(e.regs, s) }
 
 // The heap is 4-ary: children of node i are 4i+1..4i+4, parent (i-1)/4.
 // Compared to a binary heap this halves tree depth (fewer cache lines per
@@ -493,113 +470,5 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	if t > e.now {
 		e.now = t
-	}
-}
-
-// Snapshot is an opaque capture of an engine's full state at one instant:
-// scheduler internals, every registered component's state, and the state of
-// Stateful event arguments in flight. Restore writes it back in place.
-type Snapshot struct {
-	now  Time
-	seq  uint64
-	nRun uint64
-
-	nodes []node
-	slots []eslot
-	free  []int32
-	pos   []int32
-
-	fifo     []fent // unwrapped: head at index 0
-	fifoAt   Time
-	hookLeft uint64
-
-	regStates []any
-
-	// argSlots/argStates capture Stateful event arguments by slot id. A
-	// pointer appearing in several live slots (or also inside a component
-	// queue) is saved more than once; the copies are taken at the same
-	// instant, so restoring them is idempotent.
-	argSlots  []int32
-	argStates []any
-}
-
-// Snapshot captures the engine and every registered component. The capture
-// is a deep copy: continuing to run the engine does not disturb it.
-func (e *Engine) Snapshot() *Snapshot {
-	s := &Snapshot{
-		now:      e.now,
-		seq:      e.seq,
-		nRun:     e.nRun,
-		nodes:    append([]node(nil), e.nodes...),
-		slots:    append([]eslot(nil), e.slots...),
-		free:     append([]int32(nil), e.free...),
-		pos:      append([]int32(nil), e.pos...),
-		fifoAt:   e.fifoAt,
-		hookLeft: e.hookLeft,
-	}
-	s.fifo = make([]fent, e.fifoLen)
-	for i := 0; i < e.fifoLen; i++ {
-		s.fifo[i] = e.fifo[(e.fifoHead+i)&(len(e.fifo)-1)]
-	}
-	s.regStates = make([]any, len(e.regs))
-	for i, r := range e.regs {
-		s.regStates[i] = r.SaveState()
-	}
-	// Capture Stateful arguments of live events (heap + FIFO): in-flight
-	// requests and pooled completion records whose contents the continued
-	// run will overwrite.
-	saveArg := func(slot int32) {
-		if st, ok := e.slots[slot].arg.(Stateful); ok {
-			s.argSlots = append(s.argSlots, slot)
-			s.argStates = append(s.argStates, st.SaveState())
-		}
-	}
-	for _, nd := range e.nodes {
-		saveArg(nd.slot)
-	}
-	for _, f := range s.fifo {
-		saveArg(f.slot)
-	}
-	return s
-}
-
-// Restore rewinds the engine and every registered component to the captured
-// instant. It must be called on the engine that produced the snapshot (the
-// capture holds positional component state). The snapshot survives the
-// restore and can be restored again.
-func (e *Engine) Restore(s *Snapshot) {
-	if len(s.regStates) != len(e.regs) {
-		panic(fmt.Sprintf("sim: restore with %d component states onto %d registered components",
-			len(s.regStates), len(e.regs)))
-	}
-	e.now = s.now
-	e.seq = s.seq
-	e.nRun = s.nRun
-	e.nodes = append(e.nodes[:0], s.nodes...)
-	e.slots = append(e.slots[:0], s.slots...)
-	e.free = append(e.free[:0], s.free...)
-	e.pos = append(e.pos[:0], s.pos...)
-	e.fifo = append(e.fifo[:0], s.fifo...)
-	// The ring must stay power-of-two sized for the mask arithmetic; restore
-	// re-rounds it with head at 0.
-	n := 64
-	for n < len(s.fifo) {
-		n *= 2
-	}
-	if cap(e.fifo) >= n {
-		e.fifo = e.fifo[:n]
-	} else {
-		e.fifo = make([]fent, n)
-		copy(e.fifo, s.fifo)
-	}
-	e.fifoHead = 0
-	e.fifoLen = len(s.fifo)
-	e.fifoAt = s.fifoAt
-	e.hookLeft = s.hookLeft
-	for i, r := range e.regs {
-		r.LoadState(s.regStates[i])
-	}
-	for i, slot := range s.argSlots {
-		e.slots[slot].arg.(Stateful).LoadState(s.argStates[i])
 	}
 }

@@ -276,7 +276,7 @@ func TestRNGDeterministic(t *testing.T) {
 }
 
 func TestRNGIsUsableRand(t *testing.T) {
-	var _ *rand.Rand = RNG(1).Rand
+	var _ *rand.Rand = RNG(1)
 	r := RNG(7)
 	n := r.IntN(10)
 	if n < 0 || n >= 10 {

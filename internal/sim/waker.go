@@ -47,13 +47,8 @@ type staleRec struct {
 	seq uint64
 }
 
-// NewWaker returns a waker that invokes fn on the engine's event loop. The
-// waker registers with the engine's snapshot set.
-func NewWaker(eng *Engine, fn func()) *Waker {
-	w := &Waker{eng: eng, fn: fn}
-	eng.Register(w)
-	return w
-}
+// NewWaker returns a waker that invokes fn on the engine's event loop.
+func NewWaker(eng *Engine, fn func()) *Waker { return &Waker{eng: eng, fn: fn} }
 
 // Wake requests a callback now (i.e., as a fresh event at the current time).
 func (w *Waker) Wake() { w.WakeAt(w.eng.Now()) }
@@ -169,66 +164,9 @@ func (w *Waker) WakeAt(t Time) {
 	w.seq = w.eng.seq
 }
 
-// wakerState is the snapshot of a Waker.
-type wakerState struct {
-	pendingAt          Time
-	pending            bool
-	slot               int32
-	seq                uint64
-	stale              []staleRec
-	staleMin, staleMax Time
-}
-
-// SaveState implements Stateful.
-func (w *Waker) SaveState() any {
-	return wakerState{
-		pendingAt: w.pendingAt,
-		pending:   w.pending,
-		slot:      w.slot,
-		seq:       w.seq,
-		stale:     append([]staleRec(nil), w.stale...),
-		staleMin:  w.staleMin,
-		staleMax:  w.staleMax,
-	}
-}
-
-// LoadState implements Stateful.
-func (w *Waker) LoadState(state any) {
-	st := state.(wakerState)
-	w.pendingAt, w.pending, w.slot, w.seq = st.pendingAt, st.pending, st.slot, st.seq
-	w.stale = append(w.stale[:0], st.stale...)
-	w.staleMin, w.staleMax = st.staleMin, st.staleMax
-}
-
-// Rand is a deterministic random stream that can save and load its
-// generator state, so snapshots capture it exactly. It embeds *rand.Rand;
-// use it wherever a *rand.Rand works.
-type Rand struct {
-	*rand.Rand
-	pcg *rand.PCG
-}
-
 // RNG returns a deterministic PCG-based random source for the given stream
 // seed. Each component takes its own stream so that adding randomness to one
 // component never perturbs another's sequence.
-func RNG(seed uint64) *Rand {
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &Rand{Rand: rand.New(pcg), pcg: pcg}
-}
-
-// SaveState implements Stateful: it captures the PCG stream position.
-// (rand.Rand holds no buffered state of its own over a PCG source.)
-func (r *Rand) SaveState() any {
-	b, err := r.pcg.MarshalBinary()
-	if err != nil {
-		panic("sim: PCG MarshalBinary failed: " + err.Error())
-	}
-	return b
-}
-
-// LoadState implements Stateful.
-func (r *Rand) LoadState(state any) {
-	if err := r.pcg.UnmarshalBinary(state.([]byte)); err != nil {
-		panic("sim: PCG UnmarshalBinary failed: " + err.Error())
-	}
+func RNG(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }

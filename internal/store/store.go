@@ -241,17 +241,37 @@ func readEntry(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	payload, err := decodeFrame(b)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", filepath.Base(path), err)
+	}
+	return payload, nil
+}
+
+// frameHeader returns the header Put writes ahead of payload.
+func frameHeader(payload []byte) [headerSize]byte {
+	var hdr [headerSize]byte
+	copy(hdr[:], magic)
+	binary.BigEndian.PutUint64(hdr[len(magic):], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(hdr[len(magic)+8:], sum[:])
+	return hdr
+}
+
+// decodeFrame verifies one framed entry and returns its payload, which
+// aliases b.
+func decodeFrame(b []byte) ([]byte, error) {
 	if len(b) < headerSize || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("store: bad frame in %s", filepath.Base(path))
+		return nil, errors.New("bad frame")
 	}
 	n := binary.BigEndian.Uint64(b[len(magic) : len(magic)+8])
 	payload := b[headerSize:]
 	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("store: %s: payload %d bytes, frame says %d", filepath.Base(path), len(payload), n)
+		return nil, fmt.Errorf("payload %d bytes, frame says %d", len(payload), n)
 	}
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(sum[:], b[len(magic)+8:headerSize]) {
-		return nil, fmt.Errorf("store: %s: payload checksum mismatch", filepath.Base(path))
+		return nil, errors.New("payload checksum mismatch")
 	}
 	return payload, nil
 }
@@ -275,11 +295,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmp := f.Name()
-	var hdr [headerSize]byte
-	copy(hdr[:], magic)
-	binary.BigEndian.PutUint64(hdr[len(magic):], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdr[len(magic)+8:], sum[:])
+	hdr := frameHeader(payload)
 	_, werr := f.Write(hdr[:])
 	if werr == nil {
 		_, werr = f.Write(payload)

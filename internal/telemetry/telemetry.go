@@ -31,9 +31,7 @@ type Integrator struct {
 
 // NewIntegrator returns an integrator starting at level 0.
 func NewIntegrator(eng *sim.Engine) *Integrator {
-	g := &Integrator{eng: eng, since: eng.Now(), last: eng.Now()}
-	eng.Register(g)
-	return g
+	return &Integrator{eng: eng, since: eng.Now(), last: eng.Now()}
 }
 
 func (g *Integrator) settle() {
@@ -95,9 +93,7 @@ type Counter struct {
 
 // NewCounter returns a zeroed counter.
 func NewCounter(eng *sim.Engine) *Counter {
-	c := &Counter{eng: eng, since: eng.Now()}
-	eng.Register(c)
-	return c
+	return &Counter{eng: eng, since: eng.Now()}
 }
 
 // Inc adds one event.
@@ -152,9 +148,7 @@ type directSampler struct {
 
 // NewLatency returns a latency probe.
 func NewLatency(eng *sim.Engine) *Latency {
-	l := &Latency{Occ: NewIntegrator(eng), Arr: NewCounter(eng)}
-	eng.Register(l)
-	return l
+	return &Latency{Occ: NewIntegrator(eng), Arr: NewCounter(eng)}
 }
 
 // EnableDirectSampling attaches the per-request timestamp shadow used by the
@@ -247,9 +241,7 @@ type FracTimer struct {
 
 // NewFracTimer returns a timer with the condition initially false.
 func NewFracTimer(eng *sim.Engine) *FracTimer {
-	f := &FracTimer{eng: eng, since: eng.Now()}
-	eng.Register(f)
-	return f
+	return &FracTimer{eng: eng, since: eng.Now()}
 }
 
 // Set updates the condition.
@@ -444,123 +436,4 @@ func (h *Histogram) Reset() {
 	}
 	h.count = 0
 	h.maxNs = 0
-}
-
-// --- Snapshot support -------------------------------------------------------
-//
-// Probes that take an engine register themselves with its snapshot set at
-// construction; Samples and Histogram are plain values, so their owners
-// register them (or fold them into their own state).
-
-type integratorState struct {
-	level, area, max int64
-	since, last      sim.Time
-}
-
-// SaveState implements sim.Stateful.
-func (g *Integrator) SaveState() any {
-	return integratorState{level: g.level, area: g.area, max: g.max, since: g.since, last: g.last}
-}
-
-// LoadState implements sim.Stateful.
-func (g *Integrator) LoadState(state any) {
-	st := state.(integratorState)
-	g.level, g.area, g.max, g.since, g.last = st.level, st.area, st.max, st.since, st.last
-}
-
-type counterState struct {
-	n     uint64
-	since sim.Time
-}
-
-// SaveState implements sim.Stateful.
-func (c *Counter) SaveState() any { return counterState{n: c.n, since: c.since} }
-
-// LoadState implements sim.Stateful.
-func (c *Counter) LoadState(state any) {
-	st := state.(counterState)
-	c.n, c.since = st.n, st.since
-}
-
-// latencyState captures the direct-sampling shadow; Occ and Arr snapshot
-// through their own registrations.
-type latencyState struct {
-	direct bool
-	enters []sim.Time
-	head   int
-	sumNs  float64
-	count  uint64
-}
-
-// SaveState implements sim.Stateful.
-func (l *Latency) SaveState() any {
-	if l.direct == nil {
-		return latencyState{}
-	}
-	return latencyState{
-		direct: true,
-		enters: append([]sim.Time(nil), l.direct.enters...),
-		head:   l.direct.head,
-		sumNs:  l.direct.sumNs,
-		count:  l.direct.count,
-	}
-}
-
-// LoadState implements sim.Stateful.
-func (l *Latency) LoadState(state any) {
-	st := state.(latencyState)
-	if !st.direct {
-		l.direct = nil
-		return
-	}
-	if l.direct == nil {
-		l.direct = &directSampler{}
-	}
-	l.direct.enters = append(l.direct.enters[:0], st.enters...)
-	l.direct.head, l.direct.sumNs, l.direct.count = st.head, st.sumNs, st.count
-}
-
-type fracTimerState struct {
-	on             bool
-	onSince, total sim.Time
-	since          sim.Time
-}
-
-// SaveState implements sim.Stateful.
-func (f *FracTimer) SaveState() any {
-	return fracTimerState{on: f.on, onSince: f.onSince, total: f.total, since: f.since}
-}
-
-// LoadState implements sim.Stateful.
-func (f *FracTimer) LoadState(state any) {
-	st := state.(fracTimerState)
-	f.on, f.onSince, f.total, f.since = st.on, st.onSince, st.total, st.since
-}
-
-// SaveState implements sim.Stateful. The sorted memo is not saved: it is a
-// pure function of xs and rebuilds on the next Quantile read.
-func (s *Samples) SaveState() any { return append([]float64(nil), s.xs...) }
-
-// LoadState implements sim.Stateful.
-func (s *Samples) LoadState(state any) {
-	s.xs = append(s.xs[:0], state.([]float64)...)
-	s.sorted = s.sorted[:0]
-}
-
-type histogramState struct {
-	buckets []uint64
-	count   uint64
-	maxNs   float64
-}
-
-// SaveState implements sim.Stateful.
-func (h *Histogram) SaveState() any {
-	return histogramState{buckets: append([]uint64(nil), h.buckets...), count: h.count, maxNs: h.maxNs}
-}
-
-// LoadState implements sim.Stateful.
-func (h *Histogram) LoadState(state any) {
-	st := state.(histogramState)
-	h.buckets = append(h.buckets[:0], st.buckets...)
-	h.count, h.maxNs = st.count, st.maxNs
 }

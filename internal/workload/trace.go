@@ -138,44 +138,3 @@ func (g *Replay) Poll(now sim.Time) (cpu.Access, sim.Time, bool) {
 
 // OnComplete implements cpu.Generator.
 func (g *Replay) OnComplete(cpu.Access, sim.Time) {}
-
-type recorderState struct {
-	trace  Trace
-	lastAt sim.Time
-	seen   bool
-	inner  any
-}
-
-// SaveState implements sim.Stateful. The wrapped generator's state (if it is
-// Stateful) rides along, since only the Recorder is registered.
-func (r *Recorder) SaveState() any {
-	st := recorderState{trace: append(Trace(nil), r.trace...), lastAt: r.lastAt, seen: r.seen}
-	if inner, ok := r.Inner.(sim.Stateful); ok {
-		st.inner = inner.SaveState()
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (r *Recorder) LoadState(state any) {
-	st := state.(recorderState)
-	r.trace = append(r.trace[:0], st.trace...)
-	r.lastAt, r.seen = st.lastAt, st.seen
-	if inner, ok := r.Inner.(sim.Stateful); ok {
-		inner.LoadState(st.inner)
-	}
-}
-
-type replayState struct {
-	pos     int
-	readyAt sim.Time
-}
-
-// SaveState implements sim.Stateful.
-func (g *Replay) SaveState() any { return replayState{pos: g.pos, readyAt: g.readyAt} }
-
-// LoadState implements sim.Stateful.
-func (g *Replay) LoadState(state any) {
-	st := state.(replayState)
-	g.pos, g.readyAt = st.pos, st.readyAt
-}

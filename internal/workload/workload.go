@@ -5,6 +5,8 @@
 package workload
 
 import (
+	"math/rand/v2"
+
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -89,7 +91,7 @@ func (g *SeqReadWrite) OnComplete(acc cpu.Access, now sim.Time) {
 type RandRead struct {
 	Base  mem.Addr
 	Lines int64
-	rng   *sim.Rand
+	rng   *rand.Rand
 }
 
 // NewRandRead returns a random reader over a buffer of the given size.
@@ -117,7 +119,7 @@ type Mix struct {
 	// core's memory-level parallelism demand.
 	ComputeGap sim.Time
 
-	rng     *sim.Rand
+	rng     *rand.Rand
 	readyAt sim.Time
 }
 
@@ -163,7 +165,7 @@ type SeqMix struct {
 	pos           int64
 	writebacks    []mem.Addr
 	pendingStores map[mem.Addr]struct{}
-	rng           *sim.Rand
+	rng           *rand.Rand
 }
 
 // NewSeqMix returns a sequential generator where each line is stored (RFO +
@@ -208,85 +210,4 @@ func (g *SeqMix) OnComplete(acc cpu.Access, now sim.Time) {
 		}
 		g.writebacks = append(g.writebacks, g.Base+mem.Addr(off))
 	}
-}
-
-// --- Snapshot support -------------------------------------------------------
-//
-// Generators carry no engine reference; the host registers any generator
-// implementing sim.Stateful when it is attached to a core.
-
-// SaveState implements sim.Stateful.
-func (g *SeqRead) SaveState() any { return g.pos }
-
-// LoadState implements sim.Stateful.
-func (g *SeqRead) LoadState(state any) { g.pos = state.(int64) }
-
-type seqReadWriteState struct {
-	pos        int64
-	writebacks []mem.Addr
-}
-
-// SaveState implements sim.Stateful.
-func (g *SeqReadWrite) SaveState() any {
-	return seqReadWriteState{pos: g.pos, writebacks: append([]mem.Addr(nil), g.writebacks...)}
-}
-
-// LoadState implements sim.Stateful.
-func (g *SeqReadWrite) LoadState(state any) {
-	st := state.(seqReadWriteState)
-	g.pos = st.pos
-	g.writebacks = append(g.writebacks[:0], st.writebacks...)
-}
-
-// SaveState implements sim.Stateful.
-func (g *RandRead) SaveState() any { return g.rng.SaveState() }
-
-// LoadState implements sim.Stateful.
-func (g *RandRead) LoadState(state any) { g.rng.LoadState(state) }
-
-type mixState struct {
-	rng     any
-	readyAt sim.Time
-}
-
-// SaveState implements sim.Stateful.
-func (g *Mix) SaveState() any { return mixState{rng: g.rng.SaveState(), readyAt: g.readyAt} }
-
-// LoadState implements sim.Stateful.
-func (g *Mix) LoadState(state any) {
-	st := state.(mixState)
-	g.rng.LoadState(st.rng)
-	g.readyAt = st.readyAt
-}
-
-type seqMixState struct {
-	pos           int64
-	writebacks    []mem.Addr
-	pendingStores []mem.Addr
-	rng           any
-}
-
-// SaveState implements sim.Stateful.
-func (g *SeqMix) SaveState() any {
-	st := seqMixState{
-		pos:        g.pos,
-		writebacks: append([]mem.Addr(nil), g.writebacks...),
-		rng:        g.rng.SaveState(),
-	}
-	for a := range g.pendingStores {
-		st.pendingStores = append(st.pendingStores, a)
-	}
-	return st
-}
-
-// LoadState implements sim.Stateful.
-func (g *SeqMix) LoadState(state any) {
-	st := state.(seqMixState)
-	g.pos = st.pos
-	g.writebacks = append(g.writebacks[:0], st.writebacks...)
-	clear(g.pendingStores)
-	for _, a := range st.pendingStores {
-		g.pendingStores[a] = struct{}{}
-	}
-	g.rng.LoadState(st.rng)
 }
