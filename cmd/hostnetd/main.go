@@ -145,7 +145,7 @@ func realMain(args []string) int {
 	}
 
 	srv := serve.New(cfg)
-	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, idleTimeout)
+	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, readTimeout, idleTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -187,22 +187,24 @@ func realMain(args []string) int {
 }
 
 // The HTTP server's timeouts. A client must send its request headers
-// within readHeaderTimeout, and an idle keep-alive connection closes after
-// idleTimeout, longer than net/http clients' default 90 s so a client never
-// reuses a connection the server is closing. There is no WriteTimeout:
-// ?wait=true long-polls and /stream write only as their job progresses,
-// and a write deadline would cut them. There is no ReadTimeout either: the
-// header timeout already disconnects a client that stalls before any
-// handler runs.
+// within readHeaderTimeout and its whole request, body included, within
+// readTimeout, so a client that stalls mid-body is disconnected too. An
+// idle keep-alive connection closes after idleTimeout, longer than
+// net/http clients' default 90 s so a client never reuses a connection the
+// server is closing. net/http lifts the read deadline once a request's body
+// is read, so a ?wait=true long-poll or a /stream outlasts readTimeout.
+// There is no WriteTimeout: those responses write only as their job
+// progresses, and a write deadline would cut them.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
-// newHTTPServer builds the daemon's HTTP server with the given header and
-// idle timeouts.
-func newHTTPServer(addr string, h http.Handler, readHeader, idle time.Duration) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+// newHTTPServer builds the daemon's HTTP server with the given header,
+// request-read and idle timeouts.
+func newHTTPServer(addr string, h http.Handler, readHeader, read, idle time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeader, ReadTimeout: read, IdleTimeout: idle}
 }
 
 // warmSpecs expands the -warm argument into default-spec jobs: one per

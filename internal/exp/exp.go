@@ -23,9 +23,6 @@ type Options struct {
 	DDIO bool
 	// Warmup and Window set the simulated measurement interval.
 	Warmup, Window sim.Time
-	// P2MCores is informational parity with the paper's core partitioning
-	// (the device model needs no host cores).
-	P2MCores int
 	// Parallelism bounds the worker pool every multi-point sweep runs on:
 	// N >= 1 uses N workers (1 = serial), and 0 (the default) uses one
 	// worker per available CPU (GOMAXPROCS). Each sweep point builds its
@@ -77,12 +74,11 @@ type Options struct {
 // DDIO and prefetching off, 20 us warmup and 100 us measured window.
 func Defaults() Options {
 	return Options{
-		Preset:   host.CascadeLake,
-		DDIO:     false,
-		Warmup:   20 * sim.Microsecond,
-		Window:   100 * sim.Microsecond,
-		P2MCores: 2,
-		Audit:    os.Getenv("HOSTNET_AUDIT") != "",
+		Preset: host.CascadeLake,
+		DDIO:   false,
+		Warmup: 20 * sim.Microsecond,
+		Window: 100 * sim.Microsecond,
+		Audit:  os.Getenv("HOSTNET_AUDIT") != "",
 	}
 }
 

@@ -29,10 +29,9 @@ type Config struct {
 	CHA      cha.Config
 	IIO      iio.Config
 	DDIO     cache.DDIOConfig
-	// TheoreticalMemBW and TheoreticalPCIeBW (bytes/s) are used by
-	// experiments to report utilization like the paper's figures.
-	TheoreticalMemBW  float64
-	TheoreticalPCIeBW float64
+	// TheoreticalMemBW (bytes/s) is used by experiments to report
+	// utilization like the paper's figures.
+	TheoreticalMemBW float64
 
 	// Audit configures the invariant auditor. Zero value = disabled: every
 	// domain still compiles its registration call, but audit.New returns nil
@@ -52,16 +51,15 @@ func CascadeLake() Config {
 	mc := dram.DefaultConfig()
 	mc.Timing = dram.DDR4_2933()
 	return Config{
-		Name:              "CascadeLake",
-		MaxCores:          8,
-		Core:              cpu.DefaultConfig(),
-		Mapper:            mem.MapperConfig{Channels: 2, Banks: 32, RowBytes: 8192, XORRowIntoBank: true},
-		MC:                mc,
-		CHA:               cha.DefaultConfig(),
-		IIO:               iio.DefaultConfig(),
-		DDIO:              cache.DefaultDDIOConfig(false),
-		TheoreticalMemBW:  46.9e9,
-		TheoreticalPCIeBW: 16e9,
+		Name:             "CascadeLake",
+		MaxCores:         8,
+		Core:             cpu.DefaultConfig(),
+		Mapper:           mem.MapperConfig{Channels: 2, Banks: 32, RowBytes: 8192, XORRowIntoBank: true},
+		MC:               mc,
+		CHA:              cha.DefaultConfig(),
+		IIO:              iio.DefaultConfig(),
+		DDIO:             cache.DefaultDDIOConfig(false),
+		TheoreticalMemBW: 46.9e9,
 	}
 }
 
@@ -82,16 +80,15 @@ func IceLake() Config {
 	chaCfg.WriteEntries = 288
 	chaCfg.ReadEntries = 512
 	return Config{
-		Name:              "IceLake",
-		MaxCores:          32,
-		Core:              cpu.DefaultConfig(),
-		Mapper:            mem.MapperConfig{Channels: 4, Banks: 32, RowBytes: 8192, XORRowIntoBank: true},
-		MC:                mc,
-		CHA:               chaCfg,
-		IIO:               ioCfg,
-		DDIO:              cache.DefaultDDIOConfig(true),
-		TheoreticalMemBW:  102.4e9,
-		TheoreticalPCIeBW: 32e9,
+		Name:             "IceLake",
+		MaxCores:         32,
+		Core:             cpu.DefaultConfig(),
+		Mapper:           mem.MapperConfig{Channels: 4, Banks: 32, RowBytes: 8192, XORRowIntoBank: true},
+		MC:               mc,
+		CHA:              chaCfg,
+		IIO:              ioCfg,
+		DDIO:             cache.DefaultDDIOConfig(true),
+		TheoreticalMemBW: 102.4e9,
 	}
 }
 

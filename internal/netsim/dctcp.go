@@ -78,7 +78,6 @@ type DCTCPReceiver struct {
 
 	flows    []*dctcpFlow
 	queue    int // NIC rx queue bytes
-	nicBusy  bool
 	dmaQueue []*dctcpPacket
 	waiting  bool
 	wake     func() // bound credit-wait callback, created once

@@ -252,7 +252,7 @@ func TestRetryAfterSecs(t *testing.T) {
 // Hammer one tenant through every terminal path — done, cache hit, dedup,
 // cancel-while-queued, cancel-while-running, analytic inline — and the
 // quota must return to zero. This is the regression test for the audit of
-// releaseTenant call sites.
+// the tenant-slot release sites.
 func TestTenantQuotaReleasedOnEveryTerminalPath(t *testing.T) {
 	s := testServer(t, Config{Workers: 1, QueueDepth: 8, TenantQuota: 4})
 	h := s.Handler()
@@ -348,7 +348,8 @@ func TestTenantQuotaReleasedOnEveryTerminalPath(t *testing.T) {
 }
 
 // Double-cancel and cancel-after-completion must not over-release: the
-// quota map never goes negative (idempotence of releaseTenant).
+// quota map never goes negative (a job turns terminal, and frees its slot,
+// once).
 func TestCancelIsIdempotentOnQuota(t *testing.T) {
 	s := testServer(t, Config{Workers: 1, QueueDepth: 8, TenantQuota: 2})
 	block := make(chan struct{})

@@ -5,13 +5,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/runner"
+	"repro/internal/store"
 )
 
 // State is a job's lifecycle position. Transitions are monotone:
@@ -104,46 +107,32 @@ func (o Outcome) String() string {
 // is what makes concurrent duplicate submissions collapse onto one
 // execution and repeated submissions hit the cache.
 type Job struct {
-	ID        string
-	Spec      exp.Spec // normalized
-	Canonical []byte   // canonical spec bytes the ID hashes
-	StoreKey  string   // full hex SHA-256 of Canonical: the persistent-store address
-	Tenant    string   // admission-quota principal (X-Tenant header; "" = anonymous)
+	ID       string
+	Spec     exp.Spec // normalized
+	StoreKey string   // full hex SHA-256 of the canonical spec: the persistent-store address
+	Tenant   string   // admission-quota principal (X-Tenant header; "" = anonymous)
 
-	mu          sync.Mutex
-	state       State
-	errMsg      string
-	result      []byte // canonical Result envelope bytes (StateDone only)
-	points      int64  // completed sweep tasks
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
-	cancelCause string
-	cancel      context.CancelFunc
-	subs        map[chan struct{}]struct{}
-	done        chan struct{}
+	mu        sync.Mutex
+	state     State
+	errMsg    string
+	result    []byte // canonical Result envelope bytes (StateDone only)
+	points    int64  // completed sweep tasks
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	cancel    context.CancelFunc
+	subs      map[chan struct{}]struct{}
+	done      chan struct{}
 
 	// Cache bookkeeping, guarded by the manager's mutex.
 	lruElem *list.Element
 	cost    int64
-
-	// Tenant-quota bookkeeping, guarded by the manager's mutex: charged on
-	// enqueue, released exactly once, before the terminal transition, by
-	// whichever path reaches releaseTenant first.
-	quotaCharged  bool
-	quotaReleased bool
-
-	// refineClosed, guarded by the manager's mutex, is set once the worker
-	// has consumed any refinement watch on this job; later watches compare
-	// inline instead of registering.
-	refineClosed bool
 }
 
-func newJob(id string, spec exp.Spec, canonical []byte) *Job {
+func newJob(id string, spec exp.Spec) *Job {
 	return &Job{
 		ID:        id,
 		Spec:      spec,
-		Canonical: canonical,
 		submitted: time.Now(),
 		subs:      make(map[chan struct{}]struct{}),
 		done:      make(chan struct{}),
@@ -228,13 +217,11 @@ func (j *Job) requestCancel(reason string, beforeFinish func()) bool {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.cancelCause = reason
 		beforeFinish()
 		j.finishLocked(StateCanceled, nil, "canceled while queued: "+reason)
 		j.mu.Unlock()
 		return true
 	case StateRunning:
-		j.cancelCause = reason
 		cancel := j.cancel
 		j.mu.Unlock()
 		if cancel != nil {
@@ -270,7 +257,7 @@ func (j *Job) finishLocked(state State, result []byte, errMsg string) {
 func jobKeys(canonical []byte) (id, storeKey string) {
 	sum := sha256.Sum256(canonical)
 	storeKey = hex.EncodeToString(sum[:])
-	return "j" + storeKey[:16], storeKey
+	return "j" + storeKey[:store.PrefixLen], storeKey
 }
 
 // manager owns the bounded job queue, the worker pool, and the
@@ -289,9 +276,6 @@ type manager struct {
 	lru      *list.List      // terminal jobs, most recently used at front
 	lruBytes int64
 	tenants  map[string]int // tenant -> admitted jobs in flight (queued+running)
-	// refine maps a sim twin's job ID to the analytic envelope awaiting
-	// comparison when the twin completes (Config.Refine).
-	refine map[string][]byte
 
 	// cv accumulates analytic-vs-sim error per config-space region, fed by
 	// completed crossval jobs and by background refinement comparisons.
@@ -320,7 +304,6 @@ func newManager(cfg Config, met *metrics) *manager {
 		jobs:       make(map[string]*Job),
 		lru:        list.New(),
 		tenants:    make(map[string]int),
-		refine:     make(map[string][]byte),
 		cv:         newCrossvalTracker(),
 		runs:       exp.NewRunCache(),
 		queue:      make(chan *Job, cfg.QueueDepth),
@@ -344,7 +327,7 @@ func (m *manager) Submit(spec exp.Spec, canonical []byte, tenant string) (*Job, 
 	if m.closed {
 		return nil, OutcomeAccepted, ErrClosed
 	}
-	if j, outcome := m.cachedLocked(id, storeKey, spec, canonical); j != nil {
+	if j, outcome := m.cachedLocked(id, storeKey, spec); j != nil {
 		return j, outcome, nil
 	}
 	if q := m.cfg.TenantQuota; q > 0 && m.tenants[tenant] >= q {
@@ -353,14 +336,13 @@ func (m *manager) Submit(spec exp.Spec, canonical []byte, tenant string) (*Job, 
 		// nothing, so they are never charged against the quota.
 		return nil, OutcomeAccepted, ErrTenantQuota
 	}
-	j := newJob(id, spec, canonical)
+	j := newJob(id, spec)
 	j.StoreKey = storeKey
 	j.Tenant = tenant
 	select {
 	case m.queue <- j:
 		m.jobs[id] = j
 		m.tenants[tenant]++
-		j.quotaCharged = true
 		m.met.cacheMisses.Add(1)
 		return j, OutcomeAccepted, nil
 	default:
@@ -378,7 +360,7 @@ func (m *manager) Submit(spec exp.Spec, canonical []byte, tenant string) (*Job, 
 // is revived as a done job that enters the LRU like a fresh one. A failed
 // or canceled record is dropped so the caller computes afresh. A nil job
 // means no answer.
-func (m *manager) cachedLocked(id, storeKey string, spec exp.Spec, canonical []byte) (*Job, Outcome) {
+func (m *manager) cachedLocked(id, storeKey string, spec exp.Spec) (*Job, Outcome) {
 	if j, ok := m.jobs[id]; ok {
 		switch j.State() {
 		case StateDone:
@@ -394,7 +376,7 @@ func (m *manager) cachedLocked(id, storeKey string, spec exp.Spec, canonical []b
 	if st := m.cfg.Store; st != nil {
 		if result, ok := st.Get(storeKey); ok {
 			m.met.storeHits.Add(1)
-			return m.fileDoneLocked(id, storeKey, spec, canonical, result), OutcomeStoreHit
+			return m.fileDoneLocked(id, storeKey, spec, result), OutcomeStoreHit
 		}
 	}
 	return nil, OutcomeAccepted
@@ -402,31 +384,20 @@ func (m *manager) cachedLocked(id, storeKey string, spec exp.Spec, canonical []b
 
 // fileDoneLocked files a result computed or found without the queue as a
 // done job at its content address.
-func (m *manager) fileDoneLocked(id, storeKey string, spec exp.Spec, canonical, result []byte) *Job {
-	j := newJob(id, spec, canonical)
+func (m *manager) fileDoneLocked(id, storeKey string, spec exp.Spec, result []byte) *Job {
+	j := newJob(id, spec)
 	j.StoreKey = storeKey
 	m.jobs[id] = j
-	m.insertLocked(j, StateDone, result)
+	m.insertLocked(j, result)
 	j.finish(StateDone, result, "")
 	return j
 }
 
-// releaseTenant returns a job's admission-quota slot, exactly once per
-// charge: only jobs that actually enqueued were charged (cache, store,
-// dedup, and analytic answers never were), and a slot released early by
-// Cancel is not released again by the worker. Idempotence is what makes
-// auditing terminal paths tractable — every path may call this safely.
-func (m *manager) releaseTenant(j *Job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.releaseTenantLocked(j)
-}
-
+// releaseTenantLocked returns a job's admission-quota slot. Only enqueued
+// jobs hold one (cache, store, dedup and analytic answers never do), and an
+// enqueued job turns terminal exactly once: in Cancel while still queued,
+// or in run.
 func (m *manager) releaseTenantLocked(j *Job) {
-	if !j.quotaCharged || j.quotaReleased {
-		return
-	}
-	j.quotaReleased = true
 	if n := m.tenants[j.Tenant]; n <= 1 {
 		delete(m.tenants, j.Tenant)
 	} else {
@@ -435,14 +406,17 @@ func (m *manager) releaseTenantLocked(j *Job) {
 }
 
 // Cancel forwards a cancellation request. A job canceled while still
-// queued turns terminal right here, so its tenant-quota slot is released
-// first: the tombstone sitting in the queue must not hold the tenant's
-// admission budget until a worker drains it, and a client woken by the
-// cancellation must find the slot free.
+// queued turns terminal right here, so its terminal side effects land
+// here too, before the cancellation wakes anyone: its tenant-quota slot is
+// freed, and it is filed in the LRU, so the record is accounted for and
+// eventually evicted. The worker that later dequeues it skips it.
 func (m *manager) Cancel(j *Job, reason string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return j.requestCancel(reason, func() { m.releaseTenantLocked(j) })
+	return j.requestCancel(reason, func() {
+		m.releaseTenantLocked(j)
+		m.insertLocked(j, nil)
+	})
 }
 
 // tenantInFlight reports a tenant's charged admission slots (tests).
@@ -452,11 +426,50 @@ func (m *manager) tenantInFlight(tenant string) int {
 	return m.tenants[tenant]
 }
 
-// Get returns the job at a content address or job ID.
+// Get returns the job with this ID. A done result the LRU has evicted is
+// revived from the persistent store, as a store hit at submit is, so a
+// fetch that follows a 200 does not turn into a 404.
 func (m *manager) Get(id string) *Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.jobs[id]
+	if j, ok := m.jobs[id]; ok {
+		return j
+	}
+	return m.storedLocked(id)
+}
+
+// storedLocked revives a stored result by job ID, or returns nil. The ID
+// resolves to a store key in one index lookup, and the entry's spec must
+// hash back to both, so a prefix collision is never served as this job.
+func (m *manager) storedLocked(id string) *Job {
+	prefix, ok := strings.CutPrefix(id, "j")
+	st := m.cfg.Store
+	if st == nil || !ok {
+		return nil
+	}
+	storeKey, ok := st.KeyFor(prefix)
+	if !ok {
+		return nil
+	}
+	result, ok := st.Get(storeKey)
+	if !ok {
+		return nil
+	}
+	var env struct {
+		Spec exp.Spec `json:"spec"`
+	}
+	if json.Unmarshal(result, &env) != nil {
+		return nil
+	}
+	spec := env.Spec.Normalized()
+	canonical, err := spec.Canonical()
+	if err != nil {
+		return nil
+	}
+	if gotID, gotKey := jobKeys(canonical); gotID != id || gotKey != storeKey {
+		return nil
+	}
+	return m.fileDoneLocked(id, storeKey, spec, result)
 }
 
 // Jobs snapshots all live and cached jobs, most recently submitted first.
@@ -483,19 +496,7 @@ func (m *manager) run(j *Job) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.cfg.JobTimeout)
 	defer cancel()
 	if !j.markRunning(cancel) {
-		// Canceled while queued: Cancel already released the quota slot and
-		// finished the job, but it still occupies a slot in m.jobs. File it
-		// in the LRU so the record is accounted for and eventually evicted
-		// instead of leaking forever. Skip if a resubmission already
-		// replaced the record (the stale object must not shadow the live
-		// one in the LRU). A refinement watch on it is dropped.
-		m.mu.Lock()
-		m.takeRefineLocked(j)
-		if m.jobs[j.ID] == j {
-			m.insertLocked(j, StateCanceled, nil)
-		}
-		m.mu.Unlock()
-		return
+		return // canceled while queued: Cancel made it terminal
 	}
 
 	opt := exp.Defaults()
@@ -554,7 +555,6 @@ func (m *manager) run(j *Job) {
 	if st == StateDone {
 		m.writeThrough(j, out)
 	}
-	m.releaseTenant(j) // admission-quota slot held from Submit until terminal
 	m.met.observe(st, wall)
 	if st == StateDone {
 		// Feed the Retry-After estimate (completed sim jobs only; analytic
@@ -564,14 +564,9 @@ func (m *manager) run(j *Job) {
 		m.noteCrossvalJob(j.Spec, out)
 	}
 	m.mu.Lock()
-	env := m.takeRefineLocked(j)
-	m.insertLocked(j, st, out)
+	m.releaseTenantLocked(j) // admission-quota slot held from Submit until terminal
+	m.insertLocked(j, out)
 	m.mu.Unlock()
-	// A refinement watch is consumed no matter how the twin ended; only a
-	// completed twin yields a comparison.
-	if env != nil && st == StateDone {
-		m.noteCrossval(env, out)
-	}
 	j.finish(st, out, msg)
 }
 
@@ -598,43 +593,31 @@ func (m *manager) noteCrossval(analyticEnv, simEnv []byte) {
 	m.cv.add(experiment, pts)
 }
 
-// watchRefine registers an analytic envelope for comparison when the sim
-// twin completes. If the twin's worker has already consumed its watches (a
-// dedup race, a twin about to finish, or one already terminal), the
-// comparison happens inline once the twin's result is final.
-func (m *manager) watchRefine(twin *Job, analyticEnv []byte) {
-	m.mu.Lock()
-	if st := twin.State(); !twin.refineClosed && (st == StateQueued || st == StateRunning) {
-		m.refine[twin.ID] = analyticEnv
-		m.mu.Unlock()
-		return // run() consumes the watch before the terminal transition
-	}
-	m.mu.Unlock()
-	<-twin.Done()
-	if result, _, st := twin.Result(); st == StateDone {
-		m.noteCrossval(analyticEnv, result)
-	}
-}
-
-// takeRefineLocked consumes j's refinement watch (nil if none) and closes
-// j to further watches.
-func (m *manager) takeRefineLocked(j *Job) []byte {
-	env := m.refine[j.ID]
-	delete(m.refine, j.ID)
-	j.refineClosed = true
-	return env
-}
-
 // RunAnalytic is the analytic fast path: answer the spec inline — cache,
 // then store, then the predictive model — without touching the queue, the
 // worker pool, or the tenant quota (like cache hits, analytic answers cost
 // the daemon microseconds, so they are never charged against admission).
-// The manager lock is held across the computation: at microseconds per
-// answer that is cheaper than handling the insert race between concurrent
-// identical submissions.
+// A fresh answer is written through to the store after the manager lock is
+// released, so concurrent submissions never wait on its fsync.
 func (m *manager) RunAnalytic(spec exp.Spec, canonical []byte) (*Job, Outcome, error) {
-	id, storeKey := jobKeys(canonical)
 	start := time.Now()
+	j, outcome, err := m.answerAnalytic(spec, canonical)
+	if outcome != OutcomeAnalytic {
+		return j, outcome, err
+	}
+	result, _, _ := j.Result()
+	m.writeThrough(j, result)
+	m.met.analyticServed.Add(1)
+	m.met.analyticNanos.Add(time.Since(start).Nanoseconds())
+	return j, outcome, nil
+}
+
+// answerAnalytic files RunAnalytic's answer under the manager lock, which
+// is held across the model's computation: at microseconds per answer that
+// is cheaper than handling the insert race between concurrent identical
+// submissions.
+func (m *manager) answerAnalytic(spec exp.Spec, canonical []byte) (*Job, Outcome, error) {
+	id, storeKey := jobKeys(canonical)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -642,18 +625,14 @@ func (m *manager) RunAnalytic(spec exp.Spec, canonical []byte) (*Job, Outcome, e
 	}
 	// Analytic addresses never enqueue, so the cache answers a hit or
 	// drops a stale failure.
-	if j, outcome := m.cachedLocked(id, storeKey, spec, canonical); j != nil {
+	if j, outcome := m.cachedLocked(id, storeKey, spec); j != nil {
 		return j, outcome, nil
 	}
 	out, err := exp.RunSpecJSON(spec, exp.Defaults())
 	if err != nil {
 		return nil, OutcomeAccepted, err
 	}
-	j := m.fileDoneLocked(id, storeKey, spec, canonical, out)
-	m.writeThrough(j, out)
-	m.met.analyticServed.Add(1)
-	m.met.analyticNanos.Add(time.Since(start).Nanoseconds())
-	return j, OutcomeAnalytic, nil
+	return m.fileDoneLocked(id, storeKey, spec, out), OutcomeAnalytic, nil
 }
 
 // writeThrough files a completed result in the persistent store (best
@@ -669,23 +648,14 @@ func (m *manager) writeThrough(j *Job, result []byte) {
 	}
 }
 
-// insertLocked files a terminal job in the LRU and evicts over-budget
-// entries (never the entry being inserted: a single oversized result is
-// served once rather than thrashing). Re-inserting a job that is already
-// filed replaces its accounted cost instead of double-counting it, so
-// CacheStats bytes stay equal to the sum of the entries actually held;
-// zero-byte results still cost jobOverheadBytes.
-func (m *manager) insertLocked(j *Job, st State, result []byte) {
-	cost := int64(len(result)) + jobOverheadBytes
-	if j.lruElem != nil {
-		m.lruBytes += cost - j.cost
-		j.cost = cost
-		m.lru.MoveToFront(j.lruElem)
-	} else {
-		j.cost = cost
-		j.lruElem = m.lru.PushFront(j)
-		m.lruBytes += j.cost
-	}
+// insertLocked files a terminal job in the LRU, once, and evicts
+// over-budget entries (never the entry being inserted: a single oversized
+// result is served once rather than thrashing). Zero-byte results still
+// cost jobOverheadBytes.
+func (m *manager) insertLocked(j *Job, result []byte) {
+	j.cost = int64(len(result)) + jobOverheadBytes
+	j.lruElem = m.lru.PushFront(j)
+	m.lruBytes += j.cost
 	for m.lruBytes > m.cfg.CacheBytes && m.lru.Len() > 1 {
 		ev := m.lru.Back().Value.(*Job)
 		if ev == j {

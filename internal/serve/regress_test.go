@@ -18,33 +18,19 @@ import (
 // Pinned regressions for the job manager's byte accounting, the queue-full
 // race in handleSubmit, and the slow-stream-consumer guarantee.
 
-// Re-inserting an already-filed job must replace its accounted cost, not
-// add it again, and a zero-byte result still costs the per-entry overhead.
-func TestCacheBytesReinsertAndZeroByte(t *testing.T) {
+// A zero-byte result still costs the per-entry overhead, and removing the
+// entry returns the cache to zero bytes.
+func TestCacheBytesZeroByte(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
 	m := s.mgr
 
-	j := newJob("jtest", exp.Spec{}, nil)
+	j := newJob("jtest", exp.Spec{})
 	m.mu.Lock()
 	m.jobs[j.ID] = j
-	m.insertLocked(j, StateDone, nil) // zero-byte result
+	m.insertLocked(j, nil) // zero-byte result
 	if m.lruBytes != jobOverheadBytes {
 		m.mu.Unlock()
 		t.Fatalf("zero-byte insert: lruBytes = %d, want %d", m.lruBytes, jobOverheadBytes)
-	}
-	m.insertLocked(j, StateDone, make([]byte, 100)) // re-insert, bigger result
-	if m.lruBytes != 100+jobOverheadBytes {
-		m.mu.Unlock()
-		t.Fatalf("re-insert: lruBytes = %d, want %d (no double count)", m.lruBytes, 100+jobOverheadBytes)
-	}
-	if m.lru.Len() != 1 {
-		m.mu.Unlock()
-		t.Fatalf("re-insert duplicated the LRU entry: len = %d", m.lru.Len())
-	}
-	m.insertLocked(j, StateDone, nil) // re-insert, shrinking back
-	if m.lruBytes != jobOverheadBytes {
-		m.mu.Unlock()
-		t.Fatalf("shrinking re-insert: lruBytes = %d, want %d", m.lruBytes, jobOverheadBytes)
 	}
 	m.removeLocked(j)
 	if m.lruBytes != 0 {
@@ -239,7 +225,7 @@ func TestRetryAfterHeaderUnderChurn(t *testing.T) {
 // reads its channel must not block it (pokes are buffered and coalesced).
 // Run with -race: this also pins the locking around the subscriber map.
 func TestBumpProgressNeverBlocksOnStalledSubscriber(t *testing.T) {
-	j := newJob("jstall", exp.Spec{}, nil)
+	j := newJob("jstall", exp.Spec{})
 	stalled := j.subscribe() // never read
 	defer j.unsubscribe(stalled)
 

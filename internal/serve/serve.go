@@ -3,15 +3,23 @@
 // cache, and a small JSON/NDJSON HTTP API over the deterministic
 // experiment sweeps in internal/exp.
 //
-// Because sweeps are bit-identical at any parallelism (PR 1), a job spec
-// fully determines its result bytes. The daemon exploits that three ways:
+// Because sweeps are bit-identical at any parallelism, a job spec fully
+// determines its result bytes. The daemon exploits that four ways:
 //
 //   - Concurrent identical submissions collapse onto one in-flight job —
 //     one simulation serves every waiter.
 //   - Completed results are cached by the SHA-256 of the canonical spec
 //     encoding and re-served without recomputation (LRU, byte-capped).
+//   - With a persistent store, results outlive the cache and the process:
+//     a submission, or a fetch by job ID, that misses the cache is served
+//     from the store.
 //   - The served bytes are byte-identical to `hostnetsim -format json`
 //     for the same spec.
+//
+// A job turns terminal in exactly one place — the worker that ran it, or
+// Cancel while it is still queued — and that place lands every side
+// effect of the transition (store entry, tenant slot, metrics, crossval
+// points, LRU entry) once, before ?wait=true clients wake.
 //
 // Load is shed, never buffered unboundedly: when the admission queue is
 // full, POST /jobs returns 429 with Retry-After. Shutdown stops admission
@@ -346,7 +354,14 @@ func (s *Server) enqueueRefinement(aj *Job) {
 		return
 	}
 	s.met.refineEnqueued.Add(1)
-	s.mgr.watchRefine(tj, analyticEnv)
+	// Every admitted job turns terminal, even at shutdown, so this wait
+	// ends; only a completed twin yields a comparison.
+	go func() {
+		<-tj.Done()
+		if result, _, st := tj.Result(); st == StateDone {
+			s.mgr.noteCrossval(analyticEnv, result)
+		}
+	}()
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

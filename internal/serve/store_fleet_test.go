@@ -103,6 +103,38 @@ func TestStoreReadThroughAcrossRestart(t *testing.T) {
 	}
 }
 
+// With a store, a result the LRU evicted is still served: fetching it
+// again revives it from the store with the first fetch's bytes, while a
+// well-formed ID the daemon never issued stays a 404.
+func TestEvictedResultServedFromStore(t *testing.T) {
+	s := testServer(t, Config{Workers: 1, CacheBytes: 1, Store: openStore(t, t.TempDir())})
+	h := s.Handler()
+	_, stA := postSpec(t, h, smallSpec(1))
+	first := get(h, "/jobs/"+stA.ID+"/result?wait=true")
+	if first.Code != http.StatusOK {
+		t.Fatalf("A: code %d body %s", first.Code, first.Body.Bytes())
+	}
+	_, stB := postSpec(t, h, smallSpec(2))
+	if res := get(h, "/jobs/"+stB.ID+"/result?wait=true"); res.Code != http.StatusOK {
+		t.Fatalf("B: code %d body %s", res.Code, res.Body.Bytes())
+	}
+	if got := s.met.evictions.Load(); got != 1 {
+		t.Fatalf("evictions = %d after B, want 1 (A evicted)", got)
+	}
+
+	again := get(h, "/jobs/"+stA.ID+"/result")
+	if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatalf("evicted A: code %d body %s, want 200 with the first fetch's bytes", again.Code, again.Body.Bytes())
+	}
+	if res := get(h, "/jobs/"+stA.ID); res.Code != http.StatusOK {
+		t.Fatalf("evicted A status: code %d body %s", res.Code, res.Body.Bytes())
+	}
+	unknown := "j" + strings.Repeat("0", 16)
+	if res := get(h, "/jobs/"+unknown+"/result"); res.Code != http.StatusNotFound {
+		t.Fatalf("unknown id: code %d, want 404", res.Code)
+	}
+}
+
 // TestTenantQuota pins per-tenant admission: one tenant at its quota is
 // shed with 429 while other tenants sail through, dedup and cache hits are
 // never charged, and finishing a job frees the slot.

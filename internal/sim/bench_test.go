@@ -3,10 +3,10 @@ package sim
 import "testing"
 
 // The micro-benchmarks below pin the engine's steady-state cost and, with
-// -benchmem, its per-event allocation count. CI runs them once
-// (-benchtime=1x) and fails if the scheduling benchmarks report nonzero
-// allocs/op; BENCH_engine.json at the repo root records the before/after
-// trajectory of the container/heap -> flat 4-ary heap rewrite.
+// -benchmem, its per-event allocation count. CI runs them at
+// -benchtime=10000x and fails if the scheduling benchmarks report a nonzero
+// allocs/op or B/op; BENCH_engine.json at the repo root records the
+// before/after trajectory of the container/heap -> flat 4-ary heap rewrite.
 
 // BenchmarkScheduleRun measures one schedule+dispatch round trip: the cost
 // every simulated event pays. The callback is hoisted so the benchmark sees

@@ -54,6 +54,10 @@ const quarantineDir = "quarantine"
 // tmpPrefix marks in-progress writes; Open removes leftovers.
 const tmpPrefix = ".tmp-"
 
+// PrefixLen is how many leading hex digits of a key hostnetd's job IDs
+// carry. KeyFor resolves such a prefix to the full key.
+const PrefixLen = 16
+
 // Config tunes a store. The zero value is usable.
 type Config struct {
 	// MaxBytes caps the total payload bytes held before GC evicts
@@ -96,9 +100,10 @@ type Store struct {
 	dir string
 	cfg Config
 
-	mu    sync.Mutex
-	idx   map[string]entry
-	bytes int64
+	mu       sync.Mutex
+	idx      map[string]entry
+	byPrefix map[string]string // key[:PrefixLen] -> key, for KeyFor
+	bytes    int64
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -133,7 +138,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, cfg: cfg.withDefaults(), idx: make(map[string]entry), chtimes: os.Chtimes}
+	s := &Store{dir: dir, cfg: cfg.withDefaults(), idx: make(map[string]entry), byPrefix: make(map[string]string), chtimes: os.Chtimes}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -160,8 +165,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 			s.quarantine(name)
 			continue
 		}
-		s.idx[name] = entry{size: info.Size() - int64(headerSize), atime: info.ModTime()}
-		s.bytes += info.Size() - int64(headerSize)
+		s.addLocked(name, entry{size: info.Size() - int64(headerSize), atime: info.ModTime()})
 	}
 	return s, nil
 }
@@ -205,8 +209,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			s.misses.Add(1)
 			return nil, false
 		}
-		s.idx[key] = entry{size: info.Size() - int64(headerSize), atime: info.ModTime()}
-		s.bytes += info.Size() - int64(headerSize)
+		s.addLocked(key, entry{size: info.Size() - int64(headerSize), atime: info.ModTime()})
 	}
 	payload, err := readEntry(path)
 	if err != nil {
@@ -317,11 +320,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: committing %s: %w", key, err)
 	}
-	if old, ok := s.idx[key]; ok {
-		s.bytes -= old.size // replaced a differently-sized (stale) entry
-	}
-	s.idx[key] = entry{size: int64(len(payload)), atime: time.Now()}
-	s.bytes += int64(len(payload))
+	s.addLocked(key, entry{size: int64(len(payload)), atime: time.Now()}) // may replace a differently-sized (stale) entry
 	s.puts.Add(1)
 	s.gcLocked(key)
 	return nil
@@ -362,12 +361,32 @@ func (s *Store) gcLocked(keep string) {
 	}
 }
 
+// addLocked indexes key, replacing any entry it already has.
+func (s *Store) addLocked(key string, e entry) {
+	s.dropLocked(key)
+	s.idx[key] = e
+	s.byPrefix[key[:PrefixLen]] = key
+	s.bytes += e.size
+}
+
 // dropLocked forgets an index slot and its byte accounting.
 func (s *Store) dropLocked(key string) {
 	if e, ok := s.idx[key]; ok {
 		s.bytes -= e.size
 		delete(s.idx, key)
+		if s.byPrefix[key[:PrefixLen]] == key {
+			delete(s.byPrefix, key[:PrefixLen])
+		}
 	}
+}
+
+// KeyFor returns the indexed key whose first PrefixLen hex digits are
+// prefix. It is one map lookup, so an unknown prefix costs no scan.
+func (s *Store) KeyFor(prefix string) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key, ok := s.byPrefix[prefix]
+	return key, ok
 }
 
 // quarantine moves a damaged entry aside (best effort) so it is never

@@ -71,6 +71,36 @@ func TestResultsSurviveReopen(t *testing.T) {
 	}
 }
 
+// KeyFor resolves a key's PrefixLen-digit prefix to the key after Put and
+// after a reopen, and no longer once GC has evicted the entry.
+func TestKeyForPrefix(t *testing.T) {
+	dir := t.TempDir()
+	a, b := []byte(strings.Repeat("a", 100)), []byte(strings.Repeat("b", 100))
+	ka, kb := keyOf(a), keyOf(b)
+	s := mustOpen(t, dir, Config{MaxBytes: 150})
+	if err := s.Put(ka, a); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if got, ok := s.KeyFor(ka[:PrefixLen]); !ok || got != ka {
+		t.Fatalf("KeyFor after Put = %q, %v; want %s", got, ok, ka)
+	}
+	if got, ok := mustOpen(t, dir, Config{}).KeyFor(ka[:PrefixLen]); !ok || got != ka {
+		t.Fatalf("KeyFor after reopen = %q, %v; want %s", got, ok, ka)
+	}
+	if err := s.Put(kb, b); err != nil { // over the cap: GC evicts a
+		t.Fatalf("Put: %v", err)
+	}
+	if got, ok := s.KeyFor(ka[:PrefixLen]); ok {
+		t.Fatalf("evicted key still resolves to %q", got)
+	}
+	if got, ok := s.KeyFor(kb[:PrefixLen]); !ok || got != kb {
+		t.Fatalf("KeyFor after GC = %q, %v; want %s", got, ok, kb)
+	}
+	if got, ok := s.KeyFor(strings.Repeat("0", PrefixLen)); ok {
+		t.Fatalf("unknown prefix resolves to %q", got)
+	}
+}
+
 func TestInvalidKeysRejected(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Config{})
 	for _, key := range []string{
