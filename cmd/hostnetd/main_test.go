@@ -36,12 +36,14 @@ func serveLocal(t *testing.T, h http.Handler) string {
 // passes, instead of holding the connection indefinitely.
 func TestStalledHeaderIsDisconnected(t *testing.T) {
 	addr := serveLocal(t, http.NotFoundHandler())
+	// The server arms its deadline when it starts reading, which can be
+	// before Dial returns: start the clock first.
+	start := time.Now()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: hostnetd\r\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +63,14 @@ func TestStalledBodyIsDisconnected(t *testing.T) {
 	addr := serveLocal(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body) // as the spec decoders read a submission
 	}))
+	// The server arms its deadline when it starts reading, which can be
+	// before Dial returns: start the clock first.
+	start := time.Now()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "POST /jobs HTTP/1.1\r\nHost: hostnetd\r\nContent-Length: 100\r\n\r\n{\"experiment\""); err != nil {
 		t.Fatal(err)
 	}

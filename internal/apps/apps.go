@@ -101,7 +101,7 @@ func (r *Redis) randomLine() mem.Addr {
 func (r *Redis) Poll(now sim.Time) (cpu.Access, sim.Time, bool) {
 	if len(r.pendingWB) > 0 {
 		a := r.pendingWB[0]
-		r.pendingWB = r.pendingWB[1:]
+		r.pendingWB = append(r.pendingWB[:0], r.pendingWB[1:]...)
 		return cpu.Access{Addr: a, Kind: mem.Write}, now, true
 	}
 	switch r.phase {

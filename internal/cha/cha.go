@@ -134,10 +134,10 @@ type CHA struct {
 
 	readInUse  int
 	writeInUse int
-	admitQ     []*mem.Request
+	admitQ     reqQueue
 	readRetry  []*mem.Request // admitted reads waiting for RPQ space
 	wBacklog   []*mem.Request // admitted writes waiting for WPQ space
-	dirPending []*mem.Request // directory reads waiting for a read entry
+	dirPending reqQueue       // directory reads waiting for a read entry
 
 	// Bound handlers, created once at construction so the per-request
 	// pipeline stages schedule without allocating closures; ddioFree pools
@@ -149,6 +149,10 @@ type CHA struct {
 	returnFn     sim.EventFunc // data return -> requester Done
 	readDoneFn   sim.EventFunc // MC read data -> CHA
 	ddioFree     []*ddioWriteArg
+
+	// One event lane per fixed-latency hop: each schedules a constant delay
+	// ahead, so its events arrive in time order.
+	procLane, toMCLane, fromMCLane, toCoreLane, toIIOLane, llcLane *sim.Lane
 
 	stats *Stats
 }
@@ -216,6 +220,8 @@ func New(eng *sim.Engine, cfg Config, mc *dram.Controller, ddio *cache.DDIO) *CH
 	c.backlogFn = c.backlogEvent
 	c.returnFn = c.returnEvent
 	c.readDoneFn = c.readDoneEvent
+	c.procLane, c.toMCLane, c.fromMCLane = eng.NewLane(), eng.NewLane(), eng.NewLane()
+	c.toCoreLane, c.toIIOLane, c.llcLane = eng.NewLane(), eng.NewLane(), eng.NewLane()
 	mc.SetClient(c)
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := cfg.AuditDomain
@@ -265,7 +271,7 @@ func (c *CHA) DDIO() *cache.DDIO { return c.ddio }
 func (c *CHA) Submit(r *mem.Request) {
 	r.TCHAEnter = c.eng.Now()
 	c.stats.AdmitLat.Enter()
-	c.admitQ = append(c.admitQ, r)
+	c.admitQ.push(r)
 	c.tryAdmit()
 }
 
@@ -281,12 +287,12 @@ func (c *CHA) hasEntry(r *mem.Request) bool {
 // behind it: the ingress is a single pipeline, which is exactly how write
 // backpressure comes to delay reads in the red regime.
 func (c *CHA) tryAdmit() {
-	for len(c.admitQ) > 0 {
-		r := c.admitQ[0]
+	for c.admitQ.n > 0 {
+		r := c.admitQ.front()
 		if !c.hasEntry(r) {
 			return
 		}
-		c.admitQ = c.admitQ[1:]
+		c.admitQ.pop()
 		c.stats.AdmitLat.Exit()
 		r.TCHAAdmit = c.eng.Now()
 		if r.Kind == mem.Read {
@@ -306,7 +312,7 @@ func (c *CHA) tryAdmit() {
 				r.Done(r)
 			}
 		}
-		c.eng.AfterFunc(c.cfg.ProcDelay, c.processFn, r)
+		c.procLane.After(c.cfg.ProcDelay, c.processFn, r)
 	}
 }
 
@@ -335,7 +341,7 @@ func (c *CHA) process(r *mem.Request) {
 	if r.Source == mem.C2M && r.Kind == mem.Read && c.cfg.C2MHitRatio > 0 &&
 		c.rng.Float64() < c.cfg.C2MHitRatio {
 		c.stats.LLCHitsC2M.Inc()
-		c.eng.AfterFunc(c.cfg.LLCHitLatency, c.llcReadFn, r)
+		c.llcLane.After(c.cfg.LLCHitLatency, c.llcReadFn, r)
 		return
 	}
 	c.dispatch(r)
@@ -346,7 +352,7 @@ func (c *CHA) processDDIO(r *mem.Request) {
 	if r.Kind == mem.Read {
 		if c.ddio.Read(r.Addr) {
 			c.stats.DDIOHits.Inc()
-			c.eng.AfterFunc(c.cfg.LLCHitLatency, c.llcReadFn, r)
+			c.llcLane.After(c.cfg.LLCHitLatency, c.llcReadFn, r)
 			return
 		}
 		c.dispatch(r)
@@ -359,7 +365,7 @@ func (c *CHA) processDDIO(r *mem.Request) {
 	if hit {
 		c.stats.DDIOHits.Inc()
 	}
-	c.eng.AfterFunc(c.cfg.LLCHitLatency, ddioWriteEvent, c.newDDIOWriteArg(r, wb, hasWB))
+	c.llcLane.After(c.cfg.LLCHitLatency, ddioWriteEvent, c.newDDIOWriteArg(r, wb, hasWB))
 }
 
 // finishDDIOWrite completes a DMA write at the LLC and emits its eviction
@@ -414,16 +420,15 @@ func (c *CHA) directoryRead(origin int, addr mem.Addr) {
 	}
 	r.TCHAEnter = c.eng.Now()
 	r.TCHAAdmit = c.eng.Now()
-	c.dirPending = append(c.dirPending, r)
+	c.dirPending.push(r)
 	c.drainDirectoryReads()
 }
 
 // drainDirectoryReads dispatches parked directory reads while read entries
 // are available.
 func (c *CHA) drainDirectoryReads() {
-	for len(c.dirPending) > 0 && c.readInUse < c.cfg.ReadEntries {
-		r := c.dirPending[0]
-		c.dirPending = c.dirPending[1:]
+	for c.dirPending.n > 0 && c.readInUse < c.cfg.ReadEntries {
+		r := c.dirPending.pop()
 		c.readInUse++
 		c.stats.ReadEntriesOcc.Add(1)
 		c.stats.P2MReadsInflight.Add(1)
@@ -434,10 +439,10 @@ func (c *CHA) drainDirectoryReads() {
 // dispatch sends a miss to the memory controller.
 func (c *CHA) dispatch(r *mem.Request) {
 	if r.Kind == mem.Read {
-		c.eng.AfterFunc(c.cfg.ToMC, c.dispatchRdFn, r)
+		c.toMCLane.After(c.cfg.ToMC, c.dispatchRdFn, r)
 		return
 	}
-	c.eng.AfterFunc(c.cfg.ToMC, c.backlogFn, r)
+	c.toMCLane.After(c.cfg.ToMC, c.backlogFn, r)
 }
 
 // dispatchReadEvent lands a read at the MC, parking it on the retry list if
@@ -500,11 +505,11 @@ func (c *CHA) retryReads() {
 // completeAfterReturn delivers read data (or an LLC-hit response) to the
 // requester with the appropriate return propagation.
 func (c *CHA) completeAfterReturn(r *mem.Request) {
-	d := c.cfg.ToCore
 	if r.Source == mem.P2M {
-		d = c.cfg.ToIIO
+		c.toIIOLane.After(c.cfg.ToIIO, c.returnFn, r)
+		return
 	}
-	c.eng.AfterFunc(d, c.returnFn, r)
+	c.toCoreLane.After(c.cfg.ToCore, c.returnFn, r)
 }
 
 // readDoneEvent lands read data back at the CHA after FromMC propagation.
@@ -518,8 +523,38 @@ func (c *CHA) readDoneEvent(arg any) {
 // ReadComplete implements dram.Client: a read burst finished on the channel.
 func (c *CHA) ReadComplete(r *mem.Request) {
 	c.retryReads()
-	c.eng.AfterFunc(c.cfg.FromMC, c.readDoneFn, r)
+	c.fromMCLane.After(c.cfg.FromMC, c.readDoneFn, r)
 }
 
 // WPQSpaceFreed implements dram.Client: drain the write backlog.
 func (c *CHA) WPQSpaceFreed(int) { c.drainWrites() }
+
+// reqQueue is a FIFO of requests on a power-of-two ring, so a queue that
+// never drains reuses its backing array instead of reallocating it.
+type reqQueue struct {
+	buf  []*mem.Request
+	head int
+	n    int
+}
+
+func (q *reqQueue) front() *mem.Request { return q.buf[q.head] }
+
+func (q *reqQueue) push(r *mem.Request) {
+	if q.n == len(q.buf) {
+		nb := make([]*mem.Request, max(16, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = nb, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+func (q *reqQueue) pop() *mem.Request {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}

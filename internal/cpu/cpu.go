@@ -112,9 +112,12 @@ type Core struct {
 
 	// submitFn is the bound CHA-submission handler, created once so issuing
 	// schedules without allocating a closure; completeFree pools the args of
-	// prefetch-hit completion events for the same reason.
+	// prefetch-hit completion events for the same reason. Both hops have a
+	// fixed latency, so each has its own event lane.
 	submitFn     sim.EventFunc
 	completeFree []*completeArg
+	toCHA        *sim.Lane
+	pfHit        *sim.Lane
 
 	pf     *Prefetcher
 	pfWait map[mem.Addr][]Access
@@ -176,9 +179,11 @@ func New(eng *sim.Engine, cfg Config, index int, c mem.Submitter, gen Generator)
 		pf := *cfg.Prefetch // private copy: prefetcher state is per core
 		core.pf = &pf
 		core.pfWait = make(map[mem.Addr][]Access)
+		core.pfHit = eng.NewLane()
 	}
 	core.waker = sim.NewWaker(eng, core.pump)
 	core.submitFn = core.submitEvent
+	core.toCHA = eng.NewLane()
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := fmt.Sprintf("cpu/core%d", index)
 		aud.Pool(domain, "lfb", cfg.LFBEntries, func() int { return core.free })
@@ -234,7 +239,7 @@ func (c *Core) issue(acc Access) {
 		switch state {
 		case pfReady:
 			// L2 hit on prefetched data: no memory request.
-			c.eng.AfterFunc(c.pf.HitLatency, completeEvent, c.newCompleteArg(acc, now))
+			c.pfHit.After(c.pf.HitLatency, completeEvent, c.newCompleteArg(acc, now))
 			return
 		case pfInflight:
 			// The prefetch is already fetching this line; piggyback on it.
@@ -251,7 +256,7 @@ func (c *Core) issue(acc Access) {
 		TAlloc: now,
 	}
 	r.Done = func(req *mem.Request) { c.complete(acc, req.TAlloc) }
-	c.eng.AfterFunc(c.cfg.ToCHA, c.submitFn, r)
+	c.toCHA.After(c.cfg.ToCHA, c.submitFn, r)
 }
 
 // train feeds the prefetcher and launches the prefetches it requests.
@@ -281,7 +286,7 @@ func (c *Core) issuePrefetch(a mem.Addr) {
 			}
 		}
 	}
-	c.eng.AfterFunc(c.cfg.ToCHA, c.submitFn, r)
+	c.toCHA.After(c.cfg.ToCHA, c.submitFn, r)
 }
 
 func (c *Core) complete(acc Access, allocAt sim.Time) {

@@ -115,6 +115,12 @@ type IIO struct {
 	// args of credit-return and completion-delivery events.
 	submitFn sim.EventFunc
 	doneFree []*doneArg
+
+	// Event lanes, one per hop whose times only grow: write TLPs reach the
+	// CHA paced by upFreeAt, read requests a fixed delay after issue,
+	// credit returns a fixed delay after WPQ admission, and read
+	// completions paced by dnFreeAt.
+	wrLane, rdLane, creditLane, dnLane *sim.Lane
 }
 
 // doneArg carries a credit return (write) or completion delivery (read)
@@ -205,6 +211,7 @@ func New(eng *sim.Engine, cfg Config, c mem.Submitter) *IIO {
 	i.wrLinkWaker = sim.NewWaker(eng, func() { fire(&i.wrWaiters, &i.wrSpare, &i.wrRot) })
 	i.rdPaceWaker = sim.NewWaker(eng, func() { fire(&i.rdWaiters, &i.rdSpare, &i.rdRot) })
 	i.submitFn = i.submitEvent
+	i.wrLane, i.rdLane, i.creditLane, i.dnLane = eng.NewLane(), eng.NewLane(), eng.NewLane(), eng.NewLane()
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := cfg.AuditDomain
 		if domain == "" {
@@ -351,9 +358,9 @@ func (i *IIO) TryWrite(addr mem.Addr, origin int, done func()) bool {
 	r.Done = func(*mem.Request) {
 		// WPQ (or DDIO LLC) admission: the credit returns after the
 		// completion notification propagates back.
-		i.eng.AfterFunc(i.cfg.CreditReturn, creditReturnEvent, i.newDoneArg(done))
+		i.creditLane.After(i.cfg.CreditReturn, creditReturnEvent, i.newDoneArg(done))
 	}
-	i.eng.AtFunc(arrive+i.cfg.ToCHA, i.submitFn, r)
+	i.wrLane.At(arrive+i.cfg.ToCHA, i.submitFn, r)
 	return true
 }
 
@@ -391,8 +398,8 @@ func (i *IIO) TryRead(addr mem.Addr, origin int, done func()) bool {
 			dnStart = n
 		}
 		i.dnFreeAt = dnStart + i.cfg.LinePeriodDown
-		i.eng.AtFunc(i.dnFreeAt, readDeliveredEvent, i.newDoneArg(done))
+		i.dnLane.At(i.dnFreeAt, readDeliveredEvent, i.newDoneArg(done))
 	}
-	i.eng.AtFunc(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, r)
+	i.rdLane.At(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, r)
 	return true
 }

@@ -267,7 +267,7 @@ func (r *DCTCPReceiver) dmaPump() {
 			r.nextLine++
 			p.lines--
 		}
-		r.dmaQueue = r.dmaQueue[1:]
+		r.dmaQueue = append(r.dmaQueue[:0], r.dmaQueue[1:]...)
 	}
 }
 
@@ -361,7 +361,7 @@ func (g *copyGen) wake() {
 func (g *copyGen) Poll(now sim.Time) (cpu.Access, sim.Time, bool) {
 	if len(g.pendingWB) > 0 {
 		a := g.pendingWB[0]
-		g.pendingWB = g.pendingWB[1:]
+		g.pendingWB = append(g.pendingWB[:0], g.pendingWB[1:]...)
 		return cpu.Access{Addr: a, Kind: mem.Write}, now, true
 	}
 	if g.readyAt > now {

@@ -68,6 +68,7 @@ type RDMAWrite struct {
 	waiting  bool
 	wake     func()        // bound credit-wait callback, created once
 	arriveFn sim.EventFunc // bound arrival handler: one event per wire line
+	arrivals *sim.Lane     // the wire clock: one line per LinePeriod
 
 	// Delivered counts lines whose DMA completed (the app-visible
 	// throughput of the RDMA transfer).
@@ -97,6 +98,7 @@ func NewRDMAWrite(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMAWrite 
 		QueueOcc:  telemetry.NewIntegrator(eng),
 	}
 	w.arriveFn = w.arriveEvent
+	w.arrivals = eng.NewLane()
 	w.wake = func() { w.waiting = false; w.pump() }
 	if aud := cfg.Audit; aud.Enabled() {
 		aud.Gauge("rdma", "queue_occ", w.QueueOcc, func() int { return w.queue })
@@ -158,7 +160,7 @@ func (r *RDMAWrite) arrive() {
 		r.updatePFC()
 		r.pump()
 	}
-	r.eng.AfterFunc(r.cfg.LinePeriod, r.arriveFn, nil)
+	r.arrivals.After(r.cfg.LinePeriod, r.arriveFn, nil)
 }
 
 // FaultSetLinkDown suspends (or resumes) wire arrivals.
@@ -242,6 +244,7 @@ type RDMARead struct {
 	linkDown bool          // fault: wire link down, no read requests arrive
 	wake     func()        // bound credit-wait callback, created once
 	pumpFn   sim.EventFunc // bound pump handler: one event per paced line
+	pacing   *sim.Lane     // pump events at paceAt, which only grows
 
 	Delivered *telemetry.Counter
 }
@@ -250,6 +253,7 @@ type RDMARead struct {
 func NewRDMARead(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMARead {
 	rd := &RDMARead{eng: eng, cfg: cfg, io: io, Delivered: telemetry.NewCounter(eng)}
 	rd.pumpFn = rd.pumpEvent
+	rd.pacing = eng.NewLane()
 	rd.wake = func() { rd.waiting = false; rd.pump() }
 	return rd
 }
@@ -280,7 +284,7 @@ func (r *RDMARead) pump() {
 	for {
 		now := r.eng.Now()
 		if r.paceAt > now {
-			r.eng.AtFunc(r.paceAt, r.pumpFn, nil)
+			r.pacing.At(r.paceAt, r.pumpFn, nil)
 			return
 		}
 		addr := r.cfg.BufBase + mem.Addr((r.nextLine*mem.LineSize)%r.cfg.BufBytes)

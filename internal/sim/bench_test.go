@@ -29,6 +29,53 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleRunLane is BenchmarkScheduleRun through a lane: one
+// in-order schedule and its dispatch, the round trip of every event on a
+// fixed-latency hop.
+func BenchmarkScheduleRunLane(b *testing.B) {
+	e := New()
+	l := e.NewLane()
+	n := 0
+	fn := func(any) { n++ }
+	l.At(1, fn, nil) // pre-grow the ring and the heap so -benchtime=1x is already steady state
+	e.Step()
+	n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.After(1, fn, nil)
+		e.Step()
+	}
+	if n != b.N {
+		b.Fatalf("ran %d events, want %d", n, b.N)
+	}
+}
+
+// BenchmarkScheduleRunLaneWindow keeps 256 events pending over eight lanes,
+// each event rescheduling itself a fixed delay ahead on its own lane: the
+// regime of the host's pipeline hops, where a dispatch replaces the heap
+// root's key and sifts it down once.
+func BenchmarkScheduleRunLaneWindow(b *testing.B) {
+	e := New()
+	const window = 256
+	var fn EventFunc
+	fn = func(arg any) { arg.(*Lane).After(window, fn, arg) }
+	var lanes [8]*Lane
+	for k := range lanes {
+		lanes[k] = e.NewLane()
+	}
+	for i := 0; i < window; i++ {
+		l := lanes[i%len(lanes)]
+		l.At(Time(i+1), fn, l)
+	}
+	e.Step() // -benchtime=1x is already steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 // BenchmarkEngineThroughput measures the raw event loop under a pending
 // window of 256 events — the cache-resident push/pop regime every component
 // of the simulator drives. ns/op here is the engine's per-event floor.

@@ -8,7 +8,7 @@
 // order, making whole-simulation runs fully deterministic for a given seed.
 //
 // The engine is allocation-free in steady state and its scheduling structure
-// is split in three:
+// is split in four:
 //
 //   - a flat, pointer-free 4-ary min-heap of (at, seq, slot) nodes — sifts
 //     move 24-byte scalar records and never touch a pointer, so they incur
@@ -19,15 +19,27 @@
 //     time (a large fraction of all pushes: completions that immediately
 //     kick a scheduler). Those never need heap ordering — within one
 //     instant, seq order is insertion order — so they bypass the heap
-//     entirely.
+//     entirely;
+//   - lanes (see Lane): rings for the events of one fixed-latency hop,
+//     whose times never decrease. Only a lane's head is a heap node, so
+//     most pipeline events never enter the heap, and dispatching a head
+//     costs one sift-down instead of a pop and a push.
+//
+// None of these can change the order events fire in. Every event, on any
+// path, takes one sequence number when it is scheduled, and dispatch always
+// picks the least (at, seq) among the FIFO's front and the heap's root. A
+// lane holds its entries in (at, seq) order, so its head is its least entry
+// and the heap sees every lane's minimum; a lane call that would break that
+// order (earlier than the lane's last entry) takes the heap path instead.
 //
 // The slot indirection also gives the engine true decrease-key: a Waker that
 // wants an earlier callback reschedules its existing event in place instead
 // of pushing a superseding duplicate and letting the stale one fire as a
-// no-op. AtFunc/AfterFunc carry callbacks as a (func(arg any), arg) pair so
-// hot components schedule with a long-lived handler plus a pooled or
-// already-allocated argument instead of a fresh closure; a cold call site
-// may pass a func(any) literal and a nil arg.
+// no-op. Waker events therefore stay on the heap. AtFunc/AfterFunc carry
+// callbacks as a (func(arg any), arg) pair so hot components schedule with
+// a long-lived handler plus a pooled or already-allocated argument instead
+// of a fresh closure; a cold call site may pass a func(any) literal and a
+// nil arg.
 package sim
 
 import (
@@ -80,11 +92,14 @@ func (t Time) String() string {
 type EventFunc func(arg any)
 
 // node is one heap entry: pointer-free so sifts never incur GC write
-// barriers. slot indexes the engine's side table holding (fn, arg).
+// barriers. slot indexes the engine's side table holding (fn, arg). A lane
+// node stands for its lane's head entry; its slot is the lane's permanent
+// one, whose arg is the *Lane.
 type node struct {
 	at   Time
 	seq  uint64
 	slot int32
+	lane bool
 }
 
 // eslot carries an event's callback and argument, referenced by slot id.
@@ -127,6 +142,10 @@ type Engine struct {
 	fifoLen  int
 	fifoAt   Time
 
+	// laneQueued counts lane entries queued behind their lane's head (the
+	// heads themselves are heap nodes).
+	laneQueued int
+
 	// Event-cadence hook (see SetEventHook). hook == nil is the common case
 	// and costs Step a single untaken branch.
 	hook      func()
@@ -144,7 +163,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.nodes) + e.fifoLen }
+func (e *Engine) Pending() int { return len(e.nodes) + e.fifoLen + e.laneQueued }
 
 // The heap is 4-ary: children of node i are 4i+1..4i+4, parent (i-1)/4.
 // Compared to a binary heap this halves tree depth (fewer cache lines per
@@ -364,31 +383,43 @@ func (e *Engine) heapRemove(i int) {
 	}
 }
 
-// popNext removes and returns the earliest event's (at, slot). The FIFO and
-// the heap are merged by (at, seq): heap nodes at the FIFO's instant always
-// carry smaller sequence numbers (they were scheduled before the clock
-// reached it), so the comparison is exact, not heuristic.
-func (e *Engine) popNext() (Time, int32, bool) {
-	if e.fifoLen > 0 {
-		if len(e.nodes) > 0 {
-			nd := e.nodes[0]
-			f := e.fifo[e.fifoHead]
-			if nd.at < e.fifoAt || (nd.at == e.fifoAt && nd.seq < f.seq) {
-				e.heapRemove(0)
-				return nd.at, nd.slot, true
-			}
-		}
-		f := e.fifo[e.fifoHead]
+// popRoot deletes the heap's root: the last node takes its place and sifts
+// down.
+func (e *Engine) popRoot() {
+	n := len(e.nodes) - 1
+	e.nodes[0] = e.nodes[n]
+	e.nodes = e.nodes[:n]
+	if n > 0 {
+		e.siftDown(0)
+	}
+}
+
+// popNext removes the earliest event and returns its time, callback and
+// argument. The FIFO and the heap are merged by (at, seq): heap nodes at the
+// FIFO's instant always carry smaller sequence numbers (they were scheduled
+// before the clock reached it), so the comparison is exact, not heuristic.
+func (e *Engine) popNext() (Time, EventFunc, any, bool) {
+	var at Time
+	var s int32
+	if e.fifoLen > 0 && (len(e.nodes) == 0 ||
+		!nodeLess(&e.nodes[0], &node{at: e.fifoAt, seq: e.fifo[e.fifoHead].seq})) {
+		at, s = e.fifoAt, e.fifo[e.fifoHead].slot
 		e.fifoHead = (e.fifoHead + 1) & (len(e.fifo) - 1)
 		e.fifoLen--
-		return e.fifoAt, f.slot, true
+	} else if len(e.nodes) == 0 {
+		return 0, nil, nil, false
+	} else {
+		nd := e.nodes[0]
+		if nd.lane {
+			fn, arg := e.slots[nd.slot].arg.(*Lane).pop()
+			return nd.at, fn, arg, true
+		}
+		e.popRoot()
+		at, s = nd.at, nd.slot
 	}
-	if len(e.nodes) == 0 {
-		return 0, 0, false
-	}
-	nd := e.nodes[0]
-	e.heapRemove(0)
-	return nd.at, nd.slot, true
+	fn, arg := e.slots[s].fn, e.slots[s].arg
+	e.release(s)
+	return at, fn, arg, true
 }
 
 // peekAt reports the earliest pending timestamp.
@@ -433,14 +464,12 @@ func (e *Engine) SetEventHook(every uint64, fn func()) {
 // Step executes the earliest pending event. It reports false if no events
 // remain.
 func (e *Engine) Step() bool {
-	at, s, ok := e.popNext()
+	at, fn, arg, ok := e.popNext()
 	if !ok {
 		return false
 	}
 	e.now = at
 	e.nRun++
-	fn, arg := e.slots[s].fn, e.slots[s].arg
-	e.release(s)
 	fn(arg)
 	if e.hook != nil {
 		e.hookLeft--

@@ -14,19 +14,25 @@ import "math/rand/v2"
 //
 // # Stale-slot adoption
 //
-// The previous implementation left the superseded event in the heap as a
-// no-op, and that accident was output-visible: if the waker was later
-// re-armed for exactly the stale event's timestamp, the stale event popped
-// first within that instant (its sequence number was older) and fired the
-// callback at the *older* position — earlier, relative to other events at
-// the same instant, than the re-arm's own event. Simulation outputs are
-// pinned byte-identical across engine rewrites, so the rework must keep
-// that ordering without keeping the dead events. The stale list records the
-// (at, seq) of every event the old implementation would still be holding;
-// arming at a recorded timestamp adopts the recorded sequence number (and
-// the fresh number takes the record's place, exactly mirroring which event
-// would have been the no-op). Records die once the clock passes them, so
-// the list stays at most a handful of entries.
+// An older implementation left the superseded event in the heap as a no-op,
+// and that accident was output-visible: if the waker was later re-armed for
+// exactly the stale event's timestamp, the stale event popped first within
+// that instant (its sequence number was older) and fired the callback at
+// the *older* position — earlier, relative to other events at the same
+// instant, than the re-arm's own event. Simulation outputs are pinned
+// byte-identical, so the waker keeps that ordering without keeping the dead
+// events: it records the (at, seq) of every superseded event, and arming at
+// time t adopts the oldest record at exactly t whose timestamp the clock has
+// not passed. The fresh number the arm consumed takes the record's place.
+// This is the rule the golden outputs pin; it does not reproduce every
+// same-instant order of the no-op implementation.
+//
+// The records are grouped by timestamp, ascending, and each group is an
+// ascending deque of sequence numbers, so adoption pops a group's front.
+// Recording is O(1) in the two orders the arm paths produce: a fresh number
+// is the largest yet and goes to the back, and a re-recorded adopted number
+// is older than everything left in its group and goes to the front. Groups
+// the clock has passed are dropped.
 type Waker struct {
 	eng       *Engine
 	fn        func()
@@ -34,17 +40,17 @@ type Waker struct {
 	pending   bool
 	slot      int32
 	seq       uint64 // sequence number of the live event
-	stale     []staleRec
-	// staleMin/staleMax band the record timestamps so the common WakeAt
-	// (no record at t, none expired) skips the scan entirely.
-	staleMin, staleMax Time
+
+	stale []staleGroup // record groups, ascending by at
+	spare [][]uint64   // buffers of dropped groups, for reuse
 }
 
-// staleRec is one event the pre-decrease-key implementation would still
-// hold in its heap: superseded, not yet popped.
-type staleRec struct {
-	at  Time
-	seq uint64
+// staleGroup holds the records at one timestamp: the sequence numbers
+// seqs[head:], ascending.
+type staleGroup struct {
+	at   Time
+	seqs []uint64
+	head int
 }
 
 // NewWaker returns a waker that invokes fn on the engine's event loop.
@@ -61,69 +67,91 @@ func wakerFire(arg any) {
 	w.fn()
 }
 
-// record remembers a superseded event's (at, seq), keeping the time band
-// current.
-func (w *Waker) record(at Time, seq uint64) {
-	if len(w.stale) == 0 {
-		w.staleMin, w.staleMax = at, at
-	} else {
-		if at < w.staleMin {
-			w.staleMin = at
-		}
-		if at > w.staleMax {
-			w.staleMax = at
-		}
+// prune drops the groups the clock has passed, keeping their buffers.
+func (w *Waker) prune() {
+	now := w.eng.Now()
+	k := 0
+	for k < len(w.stale) && w.stale[k].at < now {
+		w.spare = append(w.spare, w.stale[k].seqs[:0])
+		k++
 	}
-	w.stale = append(w.stale, staleRec{at: at, seq: seq})
+	if k > 0 {
+		n := copy(w.stale, w.stale[k:])
+		clear(w.stale[n:])
+		w.stale = w.stale[:n]
+	}
 }
 
-// adopt removes and returns the oldest stale record at exactly t, if any.
-// A dead record (at < now) can never match — t >= now always — so pruning
-// is purely a memory/scan-length concern and rides along with the scan.
-// The [staleMin, staleMax] band short-circuits the common cases: a fresh
-// arm in the future beyond every record, and a supersede to now while all
-// records are still live in the future. The band check lives in this small
-// inlinable wrapper so the hot WakeAt path pays no call when it misses.
+// record remembers a superseded event's (at, seq). Pruning here bounds the
+// groups by the timestamps still ahead of the clock.
+func (w *Waker) record(at Time, seq uint64) {
+	w.prune()
+	i := 0
+	for i < len(w.stale) && w.stale[i].at < at {
+		i++
+	}
+	if i == len(w.stale) || w.stale[i].at != at {
+		var buf []uint64
+		if n := len(w.spare); n > 0 {
+			buf = w.spare[n-1]
+			w.spare = w.spare[:n-1]
+		}
+		w.stale = append(w.stale, staleGroup{})
+		copy(w.stale[i+1:], w.stale[i:])
+		w.stale[i] = staleGroup{at: at, seqs: buf}
+	}
+	w.stale[i].push(seq)
+}
+
+// push inserts seq in order.
+func (g *staleGroup) push(seq uint64) {
+	live := g.seqs[g.head:]
+	switch {
+	case len(live) == 0 || seq > live[len(live)-1]:
+		if g.head > 0 && len(g.seqs) == cap(g.seqs) {
+			g.seqs = g.seqs[:copy(g.seqs, live)]
+			g.head = 0
+		}
+		g.seqs = append(g.seqs, seq)
+	case seq < live[0] && g.head > 0:
+		g.head--
+		g.seqs[g.head] = seq
+	default:
+		j := g.head
+		for j < len(g.seqs) && g.seqs[j] < seq {
+			j++
+		}
+		g.seqs = append(g.seqs, 0)
+		copy(g.seqs[j+1:], g.seqs[j:])
+		g.seqs[j] = seq
+	}
+}
+
+// adopt removes and returns the oldest record at exactly t, if any. The
+// bounds check lives in this small inlinable wrapper so the hot WakeAt path
+// pays no call when t lies outside every group.
 func (w *Waker) adopt(t Time) (uint64, bool) {
-	if len(w.stale) == 0 || t < w.staleMin || t > w.staleMax {
+	if n := len(w.stale); n == 0 || t < w.stale[0].at || t > w.stale[n-1].at {
 		return 0, false
 	}
-	return w.adoptScan(t)
+	return w.adoptGroup(t)
 }
 
-// adoptScan is the slow path of adopt: scan, prune dead records, and
-// re-derive the time band.
-func (w *Waker) adoptScan(t Time) (uint64, bool) {
-	now := w.eng.Now()
-	best := uint64(0)
-	found := false
-	kept := w.stale[:0]
-	min, max := Time(1<<62), Time(-1)
-	for _, r := range w.stale {
-		if r.at < now {
+// adoptGroup is the slow path of adopt: find group t and pop its front.
+func (w *Waker) adoptGroup(t Time) (uint64, bool) {
+	for i := range w.stale {
+		g := &w.stale[i]
+		if g.at < t {
 			continue
 		}
-		if r.at == t {
-			if !found {
-				best, found = r.seq, true
-				continue
-			}
-			if r.seq < best {
-				// Keep the younger of the two as residue; adopt the older.
-				r.seq, best = best, r.seq
-			}
+		if g.at > t || g.head == len(g.seqs) {
+			break
 		}
-		if r.at < min {
-			min = r.at
-		}
-		if r.at > max {
-			max = r.at
-		}
-		kept = append(kept, r)
+		seq := g.seqs[g.head]
+		g.head++
+		return seq, true
 	}
-	w.stale = kept
-	w.staleMin, w.staleMax = min, max
-	return best, found
+	return 0, false
 }
 
 // WakeAt requests a callback at absolute time t. If a wake-up is already

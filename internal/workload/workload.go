@@ -49,7 +49,10 @@ type SeqReadWrite struct {
 	// but in a different row neighbourhood than the in-flight reads.
 	EvictLagLines int64
 
-	pos        int64
+	pos int64
+	// writebacks is a FIFO popped in place: it holds a few lines, and
+	// reslicing its front away would make every append past the end of its
+	// backing array reallocate.
 	writebacks []mem.Addr
 }
 
@@ -63,7 +66,7 @@ func NewSeqReadWrite(base mem.Addr, bytes int64) *SeqReadWrite {
 func (g *SeqReadWrite) Poll(now sim.Time) (cpu.Access, sim.Time, bool) {
 	if len(g.writebacks) > 0 {
 		a := g.writebacks[0]
-		g.writebacks = g.writebacks[1:]
+		g.writebacks = append(g.writebacks[:0], g.writebacks[1:]...)
 		return cpu.Access{Addr: a, Kind: mem.Write}, now, true
 	}
 	a := g.Base + mem.Addr(g.pos%g.Bytes)
@@ -182,7 +185,7 @@ func NewSeqMix(base mem.Addr, bytes int64, writeFrac float64, seed uint64) *SeqM
 func (g *SeqMix) Poll(now sim.Time) (cpu.Access, sim.Time, bool) {
 	if len(g.writebacks) > 0 {
 		a := g.writebacks[0]
-		g.writebacks = g.writebacks[1:]
+		g.writebacks = append(g.writebacks[:0], g.writebacks[1:]...)
 		return cpu.Access{Addr: a, Kind: mem.Write}, now, true
 	}
 	a := g.Base + mem.Addr(g.pos%g.Bytes)
