@@ -12,6 +12,8 @@ package repro
 
 import (
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/hostnet"
@@ -297,6 +299,53 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		h.Run(0, 50*sim.Microsecond)
 		b.ReportMetric(float64(h.Eng.Processed()), "events/op")
 	}
+}
+
+// BenchmarkHostColdSpecs runs hostbench's host-cold spec set (every
+// quadrant and rdma point spec: both testbeds, Q1-Q4, 1-6 cores, default
+// windows) through exp.RunSpecJSON on two goroutines sharing one RunCache,
+// the shape of hostnetd's two workers. Its allocs/op and B/op are the heap
+// cost of the request path; gc/op counts the collections they cause.
+// BENCH_engine.json records it with the command to rerun it.
+func BenchmarkHostColdSpecs(b *testing.B) {
+	var specs []exp.Spec
+	for _, preset := range []string{"cascadelake", "icelake"} {
+		for _, e := range []string{"quadrant", "rdma"} {
+			for q := 1; q <= 4; q++ {
+				for c := 1; c <= 6; c++ {
+					specs = append(specs, exp.Spec{Experiment: e, Preset: preset, Quadrant: q, Cores: []int{c}})
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		opt := exp.Defaults()
+		opt.Parallelism = 1
+		opt.Runs = exp.NewRunCache()
+		next := make(chan exp.Spec)
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for s := range next {
+					if _, err := exp.RunSpecJSON(s, opt); err != nil {
+						b.Error(err)
+					}
+				}
+			}()
+		}
+		for _, s := range specs {
+			next <- s
+		}
+		close(next)
+		wg.Wait()
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 }
 
 var _ io.Writer // keep io imported for render smoke below

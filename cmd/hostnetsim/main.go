@@ -62,7 +62,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"strings"
@@ -74,14 +73,6 @@ import (
 )
 
 func main() {
-	// The event loop allocates short-lived closures at a high rate; the
-	// default GC target (GOGC=100) spends ~10% of the run in collection
-	// cycles for no benefit on a process this small. Respect an explicit
-	// GOGC, otherwise trade heap headroom for wall-clock. GC timing cannot
-	// affect results — outputs are pinned byte-identical either way.
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(800)
-	}
 	// Profile teardown happens via defers, so the exit code is carried out
 	// of realMain instead of calling os.Exit mid-run.
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))

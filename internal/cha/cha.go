@@ -139,6 +139,10 @@ type CHA struct {
 	wBacklog   []*mem.Request // admitted writes waiting for WPQ space
 	dirPending reqQueue       // directory reads waiting for a read entry
 
+	// reqs pools the requests the CHA originates itself: DDIO eviction
+	// writebacks and directory reads.
+	reqs mem.Pool
+
 	// Bound handlers, created once at construction so the per-request
 	// pipeline stages schedule without allocating closures; ddioFree pools
 	// the writeback-carrying args of DDIO write-completion events.
@@ -252,12 +256,15 @@ func (c *CHA) llcReadEvent(arg any) {
 
 func (c *CHA) backlogEvent(arg any) { c.toBacklog(arg.(*mem.Request)) }
 
+// returnEvent completes a read at its requester. It is the release point of
+// every read the CHA serves.
 func (c *CHA) returnEvent(arg any) {
 	r := arg.(*mem.Request)
 	r.TDone = c.eng.Now()
 	if r.Done != nil {
 		r.Done(r)
 	}
+	r.Release()
 }
 
 // Stats returns the CHA probes.
@@ -369,7 +376,7 @@ func (c *CHA) processDDIO(r *mem.Request) {
 }
 
 // finishDDIOWrite completes a DMA write at the LLC and emits its eviction
-// writeback, if any.
+// writeback, if any. It is the DMA write's release point.
 func (c *CHA) finishDDIOWrite(r *mem.Request, wb mem.Addr, hasWB bool) {
 	// Complete the DMA write: IIO credit released at LLC admission.
 	r.TDone = c.eng.Now()
@@ -378,14 +385,9 @@ func (c *CHA) finishDDIOWrite(r *mem.Request, wb mem.Addr, hasWB bool) {
 	}
 	if hasWB {
 		c.stats.DDIOWritebacks.Inc()
-		evict := &mem.Request{
-			ID:     r.ID,
-			Addr:   wb,
-			Kind:   mem.Write,
-			Source: mem.P2M,
-			Origin: r.Origin,
-			TAlloc: c.eng.Now(),
-		}
+		evict := c.reqs.Get()
+		evict.Addr, evict.Kind, evict.Source, evict.Origin = wb, mem.Write, mem.P2M, r.Origin
+		evict.TAlloc = c.eng.Now()
 		evict.TCHAEnter = c.eng.Now()
 		evict.TCHAAdmit = c.eng.Now()
 		// The eviction inherits the original DMA write's CHA entry (and
@@ -403,6 +405,7 @@ func (c *CHA) finishDDIOWrite(r *mem.Request, wb mem.Addr, hasWB bool) {
 		c.stats.WriteMCLat[r.Source].Exit()
 		c.freeWrite()
 	}
+	r.Release()
 }
 
 // directoryRead injects the eviction-handling coherence read (the DDIO
@@ -411,13 +414,9 @@ func (c *CHA) finishDDIOWrite(r *mem.Request, wb mem.Addr, hasWB bool) {
 // exhausted it parks until an entry frees rather than overcommitting the
 // pool.
 func (c *CHA) directoryRead(origin int, addr mem.Addr) {
-	r := &mem.Request{
-		Addr:   addr,
-		Kind:   mem.Read,
-		Source: mem.P2M,
-		Origin: origin,
-		TAlloc: c.eng.Now(),
-	}
+	r := c.reqs.Get()
+	r.Addr, r.Kind, r.Source, r.Origin = addr, mem.Read, mem.P2M, origin
+	r.TAlloc = c.eng.Now()
 	r.TCHAEnter = c.eng.Now()
 	r.TCHAAdmit = c.eng.Now()
 	c.dirPending.push(r)
@@ -526,8 +525,13 @@ func (c *CHA) ReadComplete(r *mem.Request) {
 	c.fromMCLane.After(c.cfg.FromMC, c.readDoneFn, r)
 }
 
-// WPQSpaceFreed implements dram.Client: drain the write backlog.
-func (c *CHA) WPQSpaceFreed(int) { c.drainWrites() }
+// WriteComplete implements dram.Client: the write's WPQ slot is free, so
+// drain the write backlog. It is the release point of every write that
+// reaches DRAM.
+func (c *CHA) WriteComplete(r *mem.Request) {
+	c.drainWrites()
+	r.Release()
+}
 
 // reqQueue is a FIFO of requests on a power-of-two ring, so a queue that
 // never drains reuses its backing array instead of reallocating it.

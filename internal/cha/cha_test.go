@@ -40,14 +40,14 @@ func defaultRig() *rig {
 	return newRig(mcCfg, DefaultConfig(), nil)
 }
 
-func req(id uint64, addr mem.Addr, k mem.Kind, s mem.Source, at sim.Time) *mem.Request {
-	return &mem.Request{ID: id, Addr: addr, Kind: k, Source: s, TAlloc: at}
+func req(addr mem.Addr, k mem.Kind, s mem.Source, at sim.Time) *mem.Request {
+	return &mem.Request{Addr: addr, Kind: k, Source: s, TAlloc: at}
 }
 
 func TestC2MReadEndToEndLatency(t *testing.T) {
 	r := defaultRig()
 	var done sim.Time = -1
-	rd := req(1, 0, mem.Read, mem.C2M, 0)
+	rd := req(0, mem.Read, mem.C2M, 0)
 	rd.Done = func(*mem.Request) { done = r.eng.Now() }
 	r.eng.AtFunc(0, func(any) { r.cha.Submit(rd) }, nil)
 	r.eng.Run()
@@ -60,7 +60,7 @@ func TestC2MReadEndToEndLatency(t *testing.T) {
 func TestC2MWriteDoneAtAdmission(t *testing.T) {
 	r := defaultRig()
 	var done sim.Time = -1
-	wr := req(1, 0, mem.Write, mem.C2M, 0)
+	wr := req(0, mem.Write, mem.C2M, 0)
 	wr.Done = func(*mem.Request) { done = r.eng.Now() }
 	r.eng.AtFunc(10*sim.Nanosecond, func(any) { r.cha.Submit(wr) }, nil)
 	r.eng.Run()
@@ -73,7 +73,7 @@ func TestC2MWriteDoneAtAdmission(t *testing.T) {
 func TestP2MWriteDoneAtWPQAdmission(t *testing.T) {
 	r := defaultRig()
 	var done sim.Time = -1
-	wr := req(1, 0, mem.Write, mem.P2M, 0)
+	wr := req(0, mem.Write, mem.P2M, 0)
 	wr.Done = func(*mem.Request) { done = r.eng.Now() }
 	r.eng.AtFunc(0, func(any) { r.cha.Submit(wr) }, nil)
 	r.eng.Run()
@@ -94,7 +94,7 @@ func TestP2MWriteBlockedByFullWPQ(t *testing.T) {
 	var doneTimes []sim.Time
 	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 6; i++ {
-			wr := req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0)
+			wr := req(mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0)
 			wr.Done = func(*mem.Request) { doneTimes = append(doneTimes, r.eng.Now()) }
 			r.cha.Submit(wr)
 		}
@@ -131,9 +131,9 @@ func TestWriteEntriesExhaustionStallsIngress(t *testing.T) {
 		// 2 in WPQ + 2 in CHA write entries, then more writes to clog the
 		// ingress, then a read behind them.
 		for i := 0; i < 8; i++ {
-			r.cha.Submit(req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0))
+			r.cha.Submit(req(mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0))
 		}
-		rd := req(100, 4096, mem.Read, mem.C2M, 0)
+		rd := req(4096, mem.Read, mem.C2M, 0)
 		rd.Done = func(*mem.Request) { readDone = r.eng.Now() }
 		r.cha.Submit(rd)
 	}, nil)
@@ -159,7 +159,7 @@ func TestReadRetryOnFullRPQ(t *testing.T) {
 	done := 0
 	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 20; i++ {
-			rd := req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Read, mem.C2M, 0)
+			rd := req(mem.Addr(i)*mem.LineSize, mem.Read, mem.C2M, 0)
 			rd.Done = func(*mem.Request) { done++ }
 			r.cha.Submit(rd)
 		}
@@ -176,8 +176,8 @@ func TestDDIOReadHitAvoidsMemory(t *testing.T) {
 	mcCfg.Timing = testTiming()
 	r := newRig(mcCfg, DefaultConfig(), ddio)
 	var rdDone sim.Time = -1
-	wr := req(1, 0x1000, mem.Write, mem.P2M, 0)
-	rd := req(2, 0x1000, mem.Read, mem.P2M, 0)
+	wr := req(0x1000, mem.Write, mem.P2M, 0)
+	rd := req(0x1000, mem.Read, mem.P2M, 0)
 	rd.Done = func(*mem.Request) { rdDone = r.eng.Now() }
 	r.eng.AtFunc(0, func(any) { r.cha.Submit(wr) }, nil)
 	r.eng.AtFunc(100*sim.Nanosecond, func(any) { r.cha.Submit(rd) }, nil)
@@ -203,7 +203,7 @@ func TestDDIOWriteCompletesAtLLCAndEvicts(t *testing.T) {
 	const n = 64
 	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < n; i++ {
-			wr := req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0)
+			wr := req(mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0)
 			wr.Done = func(*mem.Request) { completions++ }
 			r.cha.Submit(wr)
 		}
@@ -229,7 +229,7 @@ func TestC2MHitRatioBypassesMemory(t *testing.T) {
 	chaCfg.C2MHitRatio = 1.0
 	r := newRig(mcCfg, chaCfg, nil)
 	var done sim.Time = -1
-	rd := req(1, 0, mem.Read, mem.C2M, 0)
+	rd := req(0, mem.Read, mem.C2M, 0)
 	rd.Done = func(*mem.Request) { done = r.eng.Now() }
 	r.eng.AtFunc(0, func(any) { r.cha.Submit(rd) }, nil)
 	r.eng.Run()
@@ -249,7 +249,7 @@ func TestP2MReadsInflightTracking(t *testing.T) {
 	r := defaultRig()
 	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 5; i++ {
-			r.cha.Submit(req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Read, mem.P2M, 0))
+			r.cha.Submit(req(mem.Addr(i)*mem.LineSize, mem.Read, mem.P2M, 0))
 		}
 	}, nil)
 	r.eng.Run()
@@ -271,7 +271,7 @@ func TestWBacklogIntegrator(t *testing.T) {
 	r := newRig(mcCfg, DefaultConfig(), nil)
 	r.eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
-			r.cha.Submit(req(uint64(i), mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0))
+			r.cha.Submit(req(mem.Addr(i)*mem.LineSize, mem.Write, mem.P2M, 0))
 		}
 	}, nil)
 	r.eng.Run()
@@ -287,8 +287,8 @@ func TestWBacklogIntegrator(t *testing.T) {
 func TestWriteMCLatProbes(t *testing.T) {
 	r := defaultRig()
 	r.eng.AtFunc(0, func(any) {
-		r.cha.Submit(req(1, 0, mem.Write, mem.C2M, 0))
-		r.cha.Submit(req(2, 64, mem.Write, mem.P2M, 0))
+		r.cha.Submit(req(0, mem.Write, mem.C2M, 0))
+		r.cha.Submit(req(64, mem.Write, mem.P2M, 0))
 	}, nil)
 	r.eng.Run()
 	st := r.cha.Stats()
@@ -299,7 +299,7 @@ func TestWriteMCLatProbes(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	r := defaultRig()
-	r.eng.AtFunc(0, func(any) { r.cha.Submit(req(1, 0, mem.Read, mem.C2M, 0)) }, nil)
+	r.eng.AtFunc(0, func(any) { r.cha.Submit(req(0, mem.Read, mem.C2M, 0)) }, nil)
 	r.eng.Run()
 	st := r.cha.Stats()
 	st.Reset()

@@ -107,20 +107,26 @@ type Core struct {
 	free        int
 	nextIssueAt sim.Time
 	waker       *sim.Waker
-	ids         mem.IDGen
 	stats       *Stats
 
-	// submitFn is the bound CHA-submission handler, created once so issuing
-	// schedules without allocating a closure; completeFree pools the args of
-	// prefetch-hit completion events for the same reason. Both hops have a
-	// fixed latency, so each has its own event lane.
+	// submitFn is the bound CHA-submission handler and demandFn/prefetchFn
+	// the bound completion handlers, created once so issuing schedules
+	// without allocating a closure; reqs pools the core's requests and
+	// completeFree the args of prefetch-hit completion events for the same
+	// reason. Both hops have a fixed latency, so each has its own event
+	// lane.
 	submitFn     sim.EventFunc
+	demandFn     func(*mem.Request)
+	prefetchFn   func(*mem.Request)
+	reqs         mem.Pool
 	completeFree []*completeArg
 	toCHA        *sim.Lane
 	pfHit        *sim.Lane
 
 	pf     *Prefetcher
 	pfWait map[mem.Addr][]Access
+	// waitFree keeps emptied pfWait lists for reuse.
+	waitFree [][]Access
 }
 
 // completeArg carries a prefetch-hit completion through the event heap.
@@ -183,6 +189,8 @@ func New(eng *sim.Engine, cfg Config, index int, c mem.Submitter, gen Generator)
 	}
 	core.waker = sim.NewWaker(eng, core.pump)
 	core.submitFn = core.submitEvent
+	core.demandFn = core.demandDone
+	core.prefetchFn = core.prefetchDone
 	core.toCHA = eng.NewLane()
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := fmt.Sprintf("cpu/core%d", index)
@@ -243,20 +251,44 @@ func (c *Core) issue(acc Access) {
 			return
 		case pfInflight:
 			// The prefetch is already fetching this line; piggyback on it.
-			c.pfWait[acc.Addr] = append(c.pfWait[acc.Addr], acc)
+			w, ok := c.pfWait[acc.Addr]
+			if n := len(c.waitFree); !ok && n > 0 {
+				w = c.waitFree[n-1]
+				c.waitFree = c.waitFree[:n-1]
+			}
+			c.pfWait[acc.Addr] = append(w, acc)
 			return
 		}
 	}
-	r := &mem.Request{
-		ID:     c.ids.Next(),
-		Addr:   acc.Addr,
-		Kind:   acc.Kind,
-		Source: mem.C2M,
-		Origin: c.index,
-		TAlloc: now,
-	}
-	r.Done = func(req *mem.Request) { c.complete(acc, req.TAlloc) }
+	c.send(acc.Addr, acc.Kind, c.demandFn)
+}
+
+// send issues one C2M request toward the CHA.
+func (c *Core) send(a mem.Addr, k mem.Kind, done func(*mem.Request)) {
+	r := c.reqs.Get()
+	r.Addr, r.Kind, r.Source, r.Origin = a, k, mem.C2M, c.index
+	r.TAlloc = c.eng.Now()
+	r.Done = done
 	c.toCHA.After(c.cfg.ToCHA, c.submitFn, r)
+}
+
+// demandDone completes a demand access: its LFB credit is replenished.
+func (c *Core) demandDone(r *mem.Request) {
+	c.complete(Access{Addr: r.Addr, Kind: r.Kind}, r.TAlloc)
+}
+
+// prefetchDone lands a prefetched line and completes the demand reads that
+// piggybacked on it.
+func (c *Core) prefetchDone(r *mem.Request) {
+	a := r.Addr
+	c.pf.complete(a)
+	if waiters, ok := c.pfWait[a]; ok {
+		delete(c.pfWait, a)
+		for _, acc := range waiters {
+			c.complete(acc, r.TAlloc)
+		}
+		c.waitFree = append(c.waitFree, waiters[:0])
+	}
 }
 
 // train feeds the prefetcher and launches the prefetches it requests.
@@ -268,26 +300,7 @@ func (c *Core) train(a mem.Addr) {
 
 // issuePrefetch sends a prefetch read. It holds a prefetcher slot, not an
 // LFB entry, and generates the same C2M memory traffic a demand read would.
-func (c *Core) issuePrefetch(a mem.Addr) {
-	r := &mem.Request{
-		ID:     c.ids.Next(),
-		Addr:   a,
-		Kind:   mem.Read,
-		Source: mem.C2M,
-		Origin: c.index,
-		TAlloc: c.eng.Now(),
-	}
-	r.Done = func(req *mem.Request) {
-		c.pf.complete(a)
-		if waiters, ok := c.pfWait[a]; ok {
-			delete(c.pfWait, a)
-			for _, acc := range waiters {
-				c.complete(acc, req.TAlloc)
-			}
-		}
-	}
-	c.toCHA.After(c.cfg.ToCHA, c.submitFn, r)
-}
+func (c *Core) issuePrefetch(a mem.Addr) { c.send(a, mem.Read, c.prefetchFn) }
 
 func (c *Core) complete(acc Access, allocAt sim.Time) {
 	c.free++

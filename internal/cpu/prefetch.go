@@ -42,6 +42,8 @@ type Prefetcher struct {
 	readyOrder []mem.Addr
 	readyHead  int
 	free       int
+	// issue is observe's result, reused across calls.
+	issue []mem.Addr
 }
 
 // DefaultPrefetcher returns an L2-stream-prefetcher-like configuration.
@@ -66,7 +68,7 @@ func (p *Prefetcher) init() {
 func (p *Prefetcher) enabled() bool { return p != nil && p.Slots > 0 }
 
 // observe trains on a demand access and returns the prefetch addresses to
-// issue now.
+// issue now. The slice is valid until the next call.
 func (p *Prefetcher) observe(a mem.Addr) []mem.Addr {
 	p.init()
 	if a == p.lastAddr+mem.LineSize {
@@ -83,7 +85,7 @@ func (p *Prefetcher) observe(a mem.Addr) []mem.Addr {
 	if !p.armed {
 		return nil
 	}
-	var out []mem.Addr
+	out := p.issue[:0]
 	limit := a + mem.Addr(p.Depth+1)*mem.LineSize
 	for p.free > 0 && p.nextPF <= limit {
 		addr := p.nextPF
@@ -95,6 +97,7 @@ func (p *Prefetcher) observe(a mem.Addr) []mem.Addr {
 		p.free--
 		out = append(out, addr)
 	}
+	p.issue = out
 	return out
 }
 

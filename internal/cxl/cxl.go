@@ -105,7 +105,8 @@ func (e *Expander) ackEvent(arg any) {
 	}
 }
 
-// readBackEvent lands read data back at the host.
+// readBackEvent lands read data back at the host. It is a CXL read's
+// release point.
 func (e *Expander) readBackEvent(arg any) {
 	r := arg.(*mem.Request)
 	e.stats.Reads.Inc()
@@ -114,6 +115,7 @@ func (e *Expander) readBackEvent(arg any) {
 	if r.Done != nil {
 		r.Done(r)
 	}
+	r.Release()
 }
 
 // New builds an expander.
@@ -235,5 +237,7 @@ func (e *Expander) ReadComplete(r *mem.Request) {
 	e.eng.AfterFunc(backSer+e.cfg.LinkLatency, e.readBackFn, r)
 }
 
-// WPQSpaceFreed implements dram.Client.
-func (e *Expander) WPQSpaceFreed(int) { e.drain() }
+// WriteComplete implements dram.Client. A posted write stays unreleased:
+// its ack and this memory controller both hold it, and neither is
+// reliably the last.
+func (e *Expander) WriteComplete(*mem.Request) { e.drain() }

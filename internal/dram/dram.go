@@ -126,9 +126,9 @@ type Client interface {
 	// ReadComplete fires when a read's data burst finishes on the channel;
 	// the client owns any propagation delay back to the requester.
 	ReadComplete(r *mem.Request)
-	// WPQSpaceFreed fires when a write burst completes, freeing a WPQ slot
-	// on the given channel. Clients with backlogged writes retry then.
-	WPQSpaceFreed(channel int)
+	// WriteComplete fires when a write's burst finishes on the channel,
+	// freeing its WPQ slot. Clients with backlogged writes retry then.
+	WriteComplete(r *mem.Request)
 }
 
 type bank struct {
@@ -417,7 +417,7 @@ func (c *Controller) WPQHasSpace(a mem.Addr) bool {
 
 // TryEnqueue routes a request to its channel queue. It returns false when
 // the relevant queue is full; the caller (the CHA) holds the request and
-// retries on ReadComplete/WPQSpaceFreed notifications.
+// retries on ReadComplete/WriteComplete notifications.
 func (c *Controller) TryEnqueue(r *mem.Request) bool {
 	coord := r.MapCoord(c.mapper)
 	ch := c.chans[coord.Channel]
@@ -683,7 +683,7 @@ func (ch *channel) burstDone(r *mem.Request) {
 		c.stats.WPQOcc.Add(-1)
 		c.updateWPQFull()
 		if c.client != nil {
-			c.client.WPQSpaceFreed(ch.idx)
+			c.client.WriteComplete(r)
 		}
 	}
 	ch.waker.Wake()

@@ -38,22 +38,22 @@ type fakeClient struct {
 	freed int
 }
 
-func (f *fakeClient) ReadComplete(r *mem.Request) { f.reads = append(f.reads, r) }
-func (f *fakeClient) WPQSpaceFreed(ch int)        { f.freed++ }
+func (f *fakeClient) ReadComplete(r *mem.Request)  { f.reads = append(f.reads, r) }
+func (f *fakeClient) WriteComplete(r *mem.Request) { f.freed++ }
 
-func newRead(id uint64, addr mem.Addr, src mem.Source) *mem.Request {
-	return &mem.Request{ID: id, Addr: addr, Kind: mem.Read, Source: src}
+func newRead(addr mem.Addr, src mem.Source) *mem.Request {
+	return &mem.Request{Addr: addr, Kind: mem.Read, Source: src}
 }
 
-func newWrite(id uint64, addr mem.Addr, src mem.Source) *mem.Request {
-	return &mem.Request{ID: id, Addr: addr, Kind: mem.Write, Source: src}
+func newWrite(addr mem.Addr, src mem.Source) *mem.Request {
+	return &mem.Request{Addr: addr, Kind: mem.Write, Source: src}
 }
 
 func TestSingleReadColdBankLatency(t *testing.T) {
 	eng := sim.New()
 	cl := &fakeClient{}
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
-	r := newRead(1, 0, mem.C2M)
+	r := newRead(0, mem.C2M)
 	eng.AtFunc(0, func(any) {
 		if !c.TryEnqueue(r) {
 			t.Fatalf("enqueue failed")
@@ -75,8 +75,8 @@ func TestRowHitLatency(t *testing.T) {
 	eng := sim.New()
 	cl := &fakeClient{}
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
-	r1 := newRead(1, 0, mem.C2M)
-	r2 := newRead(2, 64, mem.C2M) // same row, next line
+	r1 := newRead(0, mem.C2M)
+	r2 := newRead(64, mem.C2M) // same row, next line
 	eng.AtFunc(0, func(any) { c.TryEnqueue(r1) }, nil)
 	eng.AtFunc(40*sim.Nanosecond, func(any) { c.TryEnqueue(r2) }, nil)
 	eng.Run()
@@ -97,8 +97,8 @@ func TestRowConflictLatency(t *testing.T) {
 	// Two addresses in the same bank, different rows: row stride with no XOR
 	// is rowLines * banks * 64 bytes.
 	conflict := mem.Addr(m.RowLines()*m.Banks()) * mem.LineSize
-	r1 := newRead(1, 0, mem.C2M)
-	r2 := newRead(2, conflict, mem.C2M)
+	r1 := newRead(0, mem.C2M)
+	r2 := newRead(conflict, mem.C2M)
 	eng.AtFunc(0, func(any) { c.TryEnqueue(r1) }, nil)
 	eng.AtFunc(40*sim.Nanosecond, func(any) { c.TryEnqueue(r2) }, nil)
 	eng.Run()
@@ -124,7 +124,7 @@ func TestSequentialReadsSaturateChannel(t *testing.T) {
 	var enqueue func(any)
 	enqueue = func(any) {
 		for issued < n {
-			r := newRead(uint64(issued), mem.Addr(issued)*mem.LineSize, mem.C2M)
+			r := newRead(mem.Addr(issued)*mem.LineSize, mem.C2M)
 			if !c.TryEnqueue(r) {
 				eng.AfterFunc(10*sim.Nanosecond, enqueue, nil)
 				return
@@ -154,7 +154,7 @@ func TestRPQCapacity(t *testing.T) {
 	accepted := 0
 	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
-			if c.TryEnqueue(newRead(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
+			if c.TryEnqueue(newRead(mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				accepted++
 			}
 		}
@@ -176,7 +176,7 @@ func TestWPQCapacityAndFullTimer(t *testing.T) {
 	accepted := 0
 	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
-			if c.TryEnqueue(newWrite(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
+			if c.TryEnqueue(newWrite(mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				accepted++
 			}
 		}
@@ -212,7 +212,7 @@ func TestWriteDrainSwitchesModes(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		i := i
 		eng.AtFunc(sim.Time(i)*3*sim.Nanosecond, func(any) {
-			if c.TryEnqueue(newRead(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
+			if c.TryEnqueue(newRead(mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				acceptedReads++
 			}
 		}, nil)
@@ -220,7 +220,7 @@ func TestWriteDrainSwitchesModes(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		i := i
 		eng.AtFunc(sim.Time(i)*10*sim.Nanosecond, func(any) {
-			if c.TryEnqueue(newWrite(uint64(1000+i), mem.Addr(1<<20+i*mem.LineSize), mem.P2M)) {
+			if c.TryEnqueue(newWrite(mem.Addr(1<<20+i*mem.LineSize), mem.P2M)) {
 				acceptedWrites++
 			}
 		}, nil)
@@ -247,7 +247,7 @@ func TestPureWriteWorkloadDrains(t *testing.T) {
 	c := New(eng, testConfig(), singleChannelMapper(), cl)
 	eng.AtFunc(0, func(any) {
 		for i := 0; i < 10; i++ {
-			c.TryEnqueue(newWrite(uint64(i), mem.Addr(i)*mem.LineSize, mem.P2M))
+			c.TryEnqueue(newWrite(mem.Addr(i)*mem.LineSize, mem.P2M))
 		}
 	}, nil)
 	eng.Run()
@@ -265,7 +265,7 @@ func TestReadLatencyLittlesLaw(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		i := i
 		eng.AtFunc(sim.Time(i)*100*sim.Nanosecond, func(any) {
-			c.TryEnqueue(newRead(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M))
+			c.TryEnqueue(newRead(mem.Addr(i)*mem.LineSize, mem.C2M))
 		}, nil)
 	}
 	eng.Run()
@@ -294,7 +294,7 @@ func TestBankDeviationSampling(t *testing.T) {
 			} else {
 				a = rowStride * mem.Addr(1+issued%8)
 			}
-			if !c.TryEnqueue(newRead(uint64(issued), a, mem.C2M)) {
+			if !c.TryEnqueue(newRead(a, mem.C2M)) {
 				eng.AfterFunc(30*sim.Nanosecond, enqueue, nil)
 				return
 			}
@@ -316,7 +316,7 @@ func TestBankDeviationSampling(t *testing.T) {
 func TestStatsReset(t *testing.T) {
 	eng := sim.New()
 	c := New(eng, testConfig(), singleChannelMapper(), &fakeClient{})
-	eng.AtFunc(0, func(any) { c.TryEnqueue(newRead(1, 0, mem.C2M)) }, nil)
+	eng.AtFunc(0, func(any) { c.TryEnqueue(newRead(0, mem.C2M)) }, nil)
 	eng.Run()
 	st := c.Stats()
 	if st.LinesRead() != 1 {
@@ -353,17 +353,17 @@ func TestConservationProperty(t *testing.T) {
 		enqueued := 0
 		writes := 0
 		eng.AtFunc(0, func(any) {
-			for i, op := range ops {
+			for _, op := range ops {
 				addr := mem.Addr(op) * mem.LineSize
 				var r *mem.Request
 				if op%3 == 0 {
-					r = newWrite(uint64(i), addr, mem.Source(op%2))
+					r = newWrite(addr, mem.Source(op%2))
 					if c.TryEnqueue(r) {
 						enqueued++
 						writes++
 					}
 				} else {
-					r = newRead(uint64(i), addr, mem.Source(op%2))
+					r = newRead(addr, mem.Source(op%2))
 					if c.TryEnqueue(r) {
 						enqueued++
 					}
@@ -392,11 +392,15 @@ func TestSameRowFCFSProperty(t *testing.T) {
 	cl := &fakeClient{}
 	m := singleChannelMapper()
 	c := New(eng, testConfig(), m, cl)
-	// All requests to bank 0, alternating rows (even IDs row 0, odd row 1).
+	// All requests to bank 0, alternating rows (even arrivals row 0, odd
+	// row 1).
 	rowStride := mem.Addr(m.RowLines()*m.Banks()) * mem.LineSize
+	arrival := map[*mem.Request]int64{}
 	eng.AtFunc(0, func(any) {
 		for i := 0; i < 20; i++ {
-			c.TryEnqueue(newRead(uint64(i), rowStride*mem.Addr(i%2)+mem.Addr(i)*mem.LineSize, mem.C2M))
+			r := newRead(rowStride*mem.Addr(i%2)+mem.Addr(i)*mem.LineSize, mem.C2M)
+			arrival[r] = int64(i)
+			c.TryEnqueue(r)
 		}
 	}, nil)
 	eng.Run()
@@ -405,7 +409,7 @@ func TestSameRowFCFSProperty(t *testing.T) {
 	}
 	var lastEven, lastOdd int64 = -1, -1
 	for _, r := range cl.reads {
-		id := int64(r.ID)
+		id := arrival[r]
 		if id%2 == 0 {
 			if id < lastEven {
 				t.Fatalf("same-row order violated for even ids")
@@ -468,13 +472,13 @@ func TestWPQReservationForP2M(t *testing.T) {
 	eng.AtFunc(0, func(any) {
 		// C2M writes may only use the unreserved half.
 		for i := 0; i < 4; i++ {
-			if c.TryEnqueue(newWrite(uint64(i), mem.Addr(i)*mem.LineSize, mem.C2M)) {
+			if c.TryEnqueue(newWrite(mem.Addr(i)*mem.LineSize, mem.C2M)) {
 				c2mAccepted++
 			}
 		}
 		// P2M writes can still use the reserved slots.
 		for i := 0; i < 4; i++ {
-			if c.TryEnqueue(newWrite(uint64(10+i), mem.Addr((10+i))*mem.LineSize, mem.P2M)) {
+			if c.TryEnqueue(newWrite(mem.Addr((10+i))*mem.LineSize, mem.P2M)) {
 				p2mAccepted++
 			}
 		}

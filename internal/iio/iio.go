@@ -107,14 +107,16 @@ type IIO struct {
 	wrRot, rdRot           int
 	wrLinkWaker            *sim.Waker
 	rdPaceWaker            *sim.Waker
-	ids                    mem.IDGen
 	stats                  *Stats
 
-	// submitFn is the bound CHA-submission handler, created once so DMA
-	// issue schedules without allocating a closure; doneFree pools the
-	// args of credit-return and completion-delivery events.
-	submitFn sim.EventFunc
-	doneFree []*doneArg
+	// submitFn is the bound CHA-submission handler and writeFn/readFn the
+	// bound completion handlers, created once so DMA issue schedules
+	// without allocating a closure; reqs pools the DMA requests and
+	// doneFree the args of credit-return and completion-delivery events.
+	submitFn        sim.EventFunc
+	writeFn, readFn func(*mem.Request)
+	reqs            mem.Pool
+	doneFree        []*doneArg
 
 	// Event lanes, one per hop whose times only grow: write TLPs reach the
 	// CHA paced by upFreeAt, read requests a fixed delay after issue,
@@ -211,6 +213,7 @@ func New(eng *sim.Engine, cfg Config, c mem.Submitter) *IIO {
 	i.wrLinkWaker = sim.NewWaker(eng, func() { fire(&i.wrWaiters, &i.wrSpare, &i.wrRot) })
 	i.rdPaceWaker = sim.NewWaker(eng, func() { fire(&i.rdWaiters, &i.rdSpare, &i.rdRot) })
 	i.submitFn = i.submitEvent
+	i.writeFn, i.readFn = i.writeDone, i.readDone
 	i.wrLane, i.rdLane, i.creditLane, i.dnLane = eng.NewLane(), eng.NewLane(), eng.NewLane(), eng.NewLane()
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := cfg.AuditDomain
@@ -347,21 +350,34 @@ func (i *IIO) TryWrite(addr mem.Addr, origin int, done func()) bool {
 	// Serialize on the upstream link.
 	i.upFreeAt = now + i.cfg.LinePeriodUp
 	arrive := i.upFreeAt + i.cfg.DeviceToIIO
-	r := &mem.Request{
-		ID:     i.ids.Next(),
-		Addr:   addr,
-		Kind:   mem.Write,
-		Source: mem.P2M,
-		Origin: origin,
-		TAlloc: now,
-	}
-	r.Done = func(*mem.Request) {
-		// WPQ (or DDIO LLC) admission: the credit returns after the
-		// completion notification propagates back.
-		i.creditLane.After(i.cfg.CreditReturn, creditReturnEvent, i.newDoneArg(done))
-	}
-	i.wrLane.At(arrive+i.cfg.ToCHA, i.submitFn, r)
+	i.wrLane.At(arrive+i.cfg.ToCHA, i.submitFn, i.request(addr, mem.Write, origin, i.writeFn, done))
 	return true
+}
+
+// request takes a P2M request from the pool; done travels in its Notify.
+func (i *IIO) request(addr mem.Addr, k mem.Kind, origin int, handler func(*mem.Request), done func()) *mem.Request {
+	r := i.reqs.Get()
+	r.Addr, r.Kind, r.Source, r.Origin = addr, k, mem.P2M, origin
+	r.TAlloc = i.eng.Now()
+	r.Done, r.Notify = handler, done
+	return r
+}
+
+// writeDone handles WPQ (or DDIO LLC) admission: the credit returns after
+// the completion notification propagates back.
+func (i *IIO) writeDone(r *mem.Request) {
+	i.creditLane.After(i.cfg.CreditReturn, creditReturnEvent, i.newDoneArg(r.Notify))
+}
+
+// readDone handles data back at the IIO: it serializes the completion on
+// the downstream link, then frees the credit.
+func (i *IIO) readDone(r *mem.Request) {
+	dnStart := i.dnFreeAt
+	if n := i.eng.Now(); dnStart < n {
+		dnStart = n
+	}
+	i.dnFreeAt = dnStart + i.cfg.LinePeriodDown
+	i.dnLane.At(i.dnFreeAt, readDeliveredEvent, i.newDoneArg(r.Notify))
 }
 
 // TryRead starts a one-line DMA read (memory -> device). It returns false if
@@ -382,24 +398,6 @@ func (i *IIO) TryRead(addr mem.Addr, origin int, done func()) bool {
 	i.rdFree--
 	i.stats.ReadOcc.Add(1)
 	i.stats.ReadLat.Enter()
-	r := &mem.Request{
-		ID:     i.ids.Next(),
-		Addr:   addr,
-		Kind:   mem.Read,
-		Source: mem.P2M,
-		Origin: origin,
-		TAlloc: now,
-	}
-	r.Done = func(*mem.Request) {
-		// Data is back at the IIO: serialize the completion on the
-		// downstream link, then free the credit.
-		dnStart := i.dnFreeAt
-		if n := i.eng.Now(); dnStart < n {
-			dnStart = n
-		}
-		i.dnFreeAt = dnStart + i.cfg.LinePeriodDown
-		i.dnLane.At(i.dnFreeAt, readDeliveredEvent, i.newDoneArg(done))
-	}
-	i.rdLane.At(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, r)
+	i.rdLane.At(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, i.request(addr, mem.Read, origin, i.readFn, done))
 	return true
 }

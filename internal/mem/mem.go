@@ -5,6 +5,31 @@
 // Every data transfer in the simulator — an LFB miss, an L2 writeback, a DMA
 // write from an NVMe device or a NIC — is a stream of these requests, exactly
 // mirroring the paper's cacheline-granularity view of the host network (§3).
+//
+// # Ownership
+//
+// Requests are recycled, so the simulator's request path allocates nothing
+// in steady state. Each originating component (a core, an IIO, a CHA for
+// its DDIO evictions and directory reads) takes its requests from its own
+// Pool. A pooled request starts with one reference, and each request path
+// has exactly one release point, where the last component to touch the
+// request calls Release:
+//
+//   - a read the CHA serves (C2M demand and prefetch reads, LLC and DDIO
+//     hits, P2M reads, directory reads): the CHA's return event, after Done;
+//   - a write that reaches DRAM: the CHA, when the write's burst completes;
+//   - a P2M write that DDIO absorbs: the CHA, after Done and after its last
+//     read of the request (an eviction it emits is a new request);
+//   - a CXL read: the expander's read-back event, after Done.
+//
+// A component that keeps a request past its path's release point takes a
+// Hold first and releases it when done (the NUMA router's cross-socket
+// completion does). A path that has two late holders and no single last
+// one, such as a CXL posted write (its ack and the expander's memory
+// controller both keep it), leaves the request unreleased for the garbage
+// collector. Unreleased is always safe; released early is not: the request
+// is zeroed and reissued while something still reads it, which corrupts
+// results without failing.
 package mem
 
 import "repro/internal/sim"
@@ -60,18 +85,25 @@ func (a Addr) Line() Addr { return a &^ (LineSize - 1) }
 // its domain credit is allocated (LFB entry for C2M, IIO buffer entry for
 // P2M) and completed when the credit is replenished.
 type Request struct {
-	ID     uint64
 	Addr   Addr
 	Kind   Kind
 	Source Source
+	// hasCoord (see coord) and refs share Kind's word, which keeps a
+	// request in the 128-byte size class.
+	hasCoord bool
+	refs     int32 // references Release has yet to drop
 	// Origin identifies the issuing agent: core index for C2M, device index
 	// for P2M.
 	Origin int
 
 	// Done is invoked exactly once when the request's domain credit is
 	// replenished: data return for reads, CHA admission for C2M writes, and
-	// WPQ admission for P2M writes.
+	// WPQ admission for P2M writes. Components bind it once, at
+	// construction, and read what they need from the request itself.
 	Done func(*Request)
+	// Notify is a callback the issuing component's Done handler runs on the
+	// requester's behalf (the IIO carries its device's completion here).
+	Notify func()
 
 	// Timestamps stamped as the request traverses the host network. A zero
 	// value means the stage was not (yet) reached.
@@ -83,11 +115,15 @@ type Request struct {
 	TBurst    sim.Time // data burst completed on the memory channel
 	TDone     sim.Time // domain credit replenished
 
-	// coord caches the Mapper decode of Addr. Addr never changes after
-	// creation and a request reaches exactly one memory controller, so the
-	// decode is stable; the FR-FCFS scan re-reads it every scheduling pass.
-	coord    Coord
-	hasCoord bool
+	// coord caches the Mapper decode of Addr. Addr never changes while the
+	// request is in flight (Release clears the cache) and a request reaches
+	// exactly one memory controller, so the decode is stable; the FR-FCFS
+	// scan re-reads it every scheduling pass.
+	coord Coord
+
+	// pool is the free list the request returns to; nil for a request
+	// built as a literal.
+	pool *Pool
 }
 
 // MapCoord returns m.Map(r.Addr), memoized in the request.
@@ -102,11 +138,54 @@ func (r *Request) MapCoord(m *Mapper) Coord {
 // Latency reports TDone - TAlloc, the full domain residency of the request.
 func (r *Request) Latency() sim.Time { return r.TDone - r.TAlloc }
 
-// IDGen hands out unique request IDs.
-type IDGen struct{ next uint64 }
+// Pool is one component's free list of requests. It is not safe for
+// concurrent use: every pool belongs to a component of one engine, and an
+// engine runs on one goroutine.
+type Pool struct{ free []*Request }
 
-// Next returns a fresh ID.
-func (g *IDGen) Next() uint64 { g.next++; return g.next }
+// Get returns a zeroed request holding one reference, reusing a released
+// one when the list has any.
+func (p *Pool) Get() *Request {
+	var r *Request
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		r = &Request{pool: p}
+	}
+	r.refs = 1
+	return r
+}
+
+// Hold adds a reference, delaying the request's return to its pool until a
+// matching Release. It does nothing on a request built as a literal.
+func (r *Request) Hold() {
+	if r.pool == nil {
+		return
+	}
+	if r.refs <= 0 {
+		panic("mem: Hold on a released request")
+	}
+	r.refs++
+}
+
+// Release drops a reference. Dropping the last one zeroes the request and
+// returns it to its pool; releasing it again panics. It does nothing on a
+// request built as a literal.
+func (r *Request) Release() {
+	p := r.pool
+	if p == nil {
+		return
+	}
+	if r.refs <= 0 {
+		panic("mem: Release on a released request")
+	}
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	*r = Request{pool: p}
+	p.free = append(p.free, r)
+}
 
 // Submitter is anything that accepts requests at a host-network ingress: a
 // CHA directly, or a NUMA router that forwards to the home socket's CHA.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -23,15 +24,67 @@ func TestKindSourceStrings(t *testing.T) {
 	}
 }
 
-func TestIDGenUnique(t *testing.T) {
-	var g IDGen
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		id := g.Next()
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
+func TestPoolReleaseZeroesAndReuses(t *testing.T) {
+	var p Pool
+	r := p.Get()
+	r.Addr, r.Kind, r.Source, r.Origin = 0x40, Write, P2M, 3
+	r.TAlloc, r.TDone = 10, 20
+	r.Done = func(*Request) {}
+	r.Notify = func() {}
+	r.MapCoord(MustMapper(DefaultMapperConfig()))
+	r.Release()
+	// DeepEqual treats funcs as equal only when both are nil.
+	if !reflect.DeepEqual(*r, Request{pool: &p}) {
+		t.Fatalf("released request not zeroed: %+v", *r)
+	}
+	if got := p.Get(); got != r {
+		t.Fatalf("Get returned %p, want the released %p", got, r)
+	}
+	if fresh := p.Get(); fresh == r {
+		t.Fatalf("a request in use was handed out twice")
+	}
+}
+
+func TestPoolDoubleReleasePanics(t *testing.T) {
+	var p Pool
+	r := p.Get()
+	r.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("second Release did not panic")
 		}
-		seen[id] = true
+	}()
+	r.Release()
+}
+
+func TestReleaseUnpooledIsNoop(t *testing.T) {
+	r := &Request{Addr: 0x80, TAlloc: 5}
+	r.Hold()
+	r.Release()
+	r.Release()
+	if r.Addr != 0x80 || r.TAlloc != 5 {
+		t.Fatalf("Release changed an unpooled request: %+v", *r)
+	}
+}
+
+func TestHoldDelaysReturn(t *testing.T) {
+	var p Pool
+	r := p.Get()
+	r.Addr = 0xc0
+	r.Hold()
+	r.Release()
+	if r.Addr != 0xc0 {
+		t.Fatalf("request zeroed while still held")
+	}
+	if other := p.Get(); other == r {
+		t.Fatalf("held request handed out again")
+	}
+	r.Release()
+	if r.Addr != 0 {
+		t.Fatalf("last Release did not zero the request")
+	}
+	if got := p.Get(); got != r {
+		t.Fatalf("last Release did not return the request to its pool")
 	}
 }
 

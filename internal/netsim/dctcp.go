@@ -79,6 +79,7 @@ type DCTCPReceiver struct {
 	flows    []*dctcpFlow
 	queue    int // NIC rx queue bytes
 	dmaQueue []*dctcpPacket
+	pktFree  []*dctcpPacket // packets whose ack or loss recovery ran
 	waiting  bool
 	wake     func() // bound credit-wait callback, created once
 	nextLine int64
@@ -99,11 +100,29 @@ type dctcpPacket struct {
 	bytes int
 	ecn   bool
 	lines int // remaining lines to DMA
+	// delivered is the DMA completion of the packet's last line, bound
+	// once when the packet is made.
+	delivered func()
+}
+
+// newPacket takes a packet from the receiver's free list.
+func (r *DCTCPReceiver) newPacket(f *dctcpFlow, bytes int) *dctcpPacket {
+	var p *dctcpPacket
+	if n := len(r.pktFree); n > 0 {
+		p = r.pktFree[n-1]
+		r.pktFree = r.pktFree[:n-1]
+	} else {
+		p = &dctcpPacket{}
+		p.delivered = func() { r.packetDelivered(p) }
+	}
+	p.flow, p.bytes, p.ecn, p.lines = f, bytes, false, 0
+	return p
 }
 
 // Package-level event dispatchers: the flow and packet pointers already
 // carry everything the delayed steps need, so scheduling through them
-// allocates nothing beyond the packet itself.
+// allocates nothing. A packet's last event is its ack or, when the NIC
+// dropped it, its loss recovery; either returns it to the free list.
 
 // retransEvent re-attempts a window-limited flow after its retry timer.
 func retransEvent(arg any) {
@@ -122,6 +141,7 @@ func dropRecoverEvent(arg any) {
 	p := arg.(*dctcpPacket)
 	f := p.flow
 	f.inflight -= p.bytes
+	f.rx.pktFree = append(f.rx.pktFree, p)
 	// Loss response: multiplicative decrease.
 	f.cwnd = max(f.cwnd/2, float64(f.rx.cfg.MSS))
 	f.rx.trySend(f)
@@ -130,7 +150,9 @@ func dropRecoverEvent(arg any) {
 // ackEvent delivers a (delayed) acknowledgment back at the sender.
 func ackEvent(arg any) {
 	p := arg.(*dctcpPacket)
-	p.flow.rx.ack(p.flow, p.bytes, p.ecn)
+	f, bytes, ecn := p.flow, p.bytes, p.ecn
+	f.rx.pktFree = append(f.rx.pktFree, p)
+	f.rx.ack(f, bytes, ecn)
 }
 
 // NewDCTCPReceiver builds the receiver; attach each flow's copier to a host
@@ -220,9 +242,8 @@ func (r *DCTCPReceiver) trySend(f *dctcpFlow) {
 		}
 		f.inflight += r.cfg.MSS
 		r.Sent.Inc()
-		pkt := &dctcpPacket{flow: f, bytes: r.cfg.MSS}
 		// One-way delay, then NIC arrival.
-		r.eng.AfterFunc(r.cfg.RTT/2, nicArriveEvent, pkt)
+		r.eng.AfterFunc(r.cfg.RTT/2, nicArriveEvent, r.newPacket(f, r.cfg.MSS))
 	}
 }
 
@@ -250,14 +271,12 @@ func (r *DCTCPReceiver) dmaPump() {
 		}
 		for p.lines > 0 {
 			addr := r.cfg.BufBase + mem.Addr((r.nextLine*mem.LineSize)%(1<<28))
-			pkt := p
-			last := p.lines == 1
-			ok := r.io.TryWrite(addr, 0, func() {
-				if last {
-					r.packetDelivered(pkt)
-				}
-			})
-			if !ok {
+			// Only the packet's last line lands it in the socket buffer.
+			var done func()
+			if p.lines == 1 {
+				done = p.delivered
+			}
+			if !r.io.TryWrite(addr, 0, done) {
 				if !r.waiting {
 					r.waiting = true
 					r.io.NotifyWrite(r.wake)

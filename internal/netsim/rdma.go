@@ -67,6 +67,7 @@ type RDMAWrite struct {
 	nextLine int64
 	waiting  bool
 	wake     func()        // bound credit-wait callback, created once
+	dmaDone  func()        // bound DMA completion (Delivered.Inc), created once
 	arriveFn sim.EventFunc // bound arrival handler: one event per wire line
 	arrivals *sim.Lane     // the wire clock: one line per LinePeriod
 
@@ -100,6 +101,7 @@ func NewRDMAWrite(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMAWrite 
 	w.arriveFn = w.arriveEvent
 	w.arrivals = eng.NewLane()
 	w.wake = func() { w.waiting = false; w.pump() }
+	w.dmaDone = w.Delivered.Inc
 	if aud := cfg.Audit; aud.Enabled() {
 		aud.Gauge("rdma", "queue_occ", w.QueueOcc, func() int { return w.queue })
 		aud.Bounds("rdma", "queue", 0, int64(cfg.QueueCapLines), func() int64 { return int64(w.queue) })
@@ -205,7 +207,7 @@ func (r *RDMAWrite) updatePFC() {
 func (r *RDMAWrite) pump() {
 	for r.queue > 0 {
 		addr := r.cfg.BufBase + mem.Addr((r.nextLine*mem.LineSize)%r.cfg.BufBytes)
-		if !r.io.TryWrite(addr, 0, func() { r.Delivered.Inc() }) {
+		if !r.io.TryWrite(addr, 0, r.dmaDone) {
 			if !r.waiting {
 				r.waiting = true
 				r.io.NotifyWrite(r.wake)
@@ -243,6 +245,7 @@ type RDMARead struct {
 	waiting  bool
 	linkDown bool          // fault: wire link down, no read requests arrive
 	wake     func()        // bound credit-wait callback, created once
+	dmaDone  func()        // bound DMA completion (Delivered.Inc), created once
 	pumpFn   sim.EventFunc // bound pump handler: one event per paced line
 	pacing   *sim.Lane     // pump events at paceAt, which only grows
 
@@ -255,6 +258,7 @@ func NewRDMARead(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMARead {
 	rd.pumpFn = rd.pumpEvent
 	rd.pacing = eng.NewLane()
 	rd.wake = func() { rd.waiting = false; rd.pump() }
+	rd.dmaDone = rd.Delivered.Inc
 	return rd
 }
 
@@ -288,7 +292,7 @@ func (r *RDMARead) pump() {
 			return
 		}
 		addr := r.cfg.BufBase + mem.Addr((r.nextLine*mem.LineSize)%r.cfg.BufBytes)
-		if !r.io.TryRead(addr, 0, func() { r.Delivered.Inc() }) {
+		if !r.io.TryRead(addr, 0, r.dmaDone) {
 			if !r.waiting {
 				r.waiting = true
 				r.io.NotifyRead(r.wake)

@@ -75,9 +75,66 @@ type Router struct {
 	stats      *Stats
 
 	// Per-direction bound handlers, created once so link-idle checks and
-	// home-socket submissions schedule without allocating closures.
-	idleFn   [2]sim.EventFunc
-	submitFn [2]sim.EventFunc
+	// home-socket submissions schedule without allocating closures;
+	// remoteFree pools the cross-socket completion args.
+	idleFn     [2]sim.EventFunc
+	submitFn   [2]sim.EventFunc
+	remoteFree []*remote
+}
+
+// remote carries one cross-socket request's completion back over the link
+// to the requester's socket.
+type remote struct {
+	r    *Router
+	back int                // link direction of the response
+	done func(*mem.Request) // the requester's own completion handler
+	req  *mem.Request
+	// homeFn is homeDone bound once, when the arg is made: the request's
+	// Done while it is served on its home socket.
+	homeFn func(*mem.Request)
+}
+
+// homeDone runs where the home socket completes the request. The response
+// crosses back before the requester's handler runs, which is after the home
+// CHA's release point, so the request is held until then.
+func (a *remote) homeDone(rq *mem.Request) {
+	r := a.r
+	var backSer sim.Time
+	if rq.Kind == mem.Read {
+		backSer = r.serialize(a.back)
+	}
+	delay := r.cfg.ReqLatency
+	if rq.Kind == mem.Read {
+		delay = r.cfg.DataLatency
+	}
+	rq.Hold()
+	r.eng.AfterFunc(backSer+delay, remoteDoneEvent, a)
+}
+
+// remoteDoneEvent lands a cross-socket response at the requester's socket.
+func remoteDoneEvent(arg any) {
+	a := arg.(*remote)
+	r, rq, done := a.r, a.req, a.done
+	a.req, a.done = nil, nil
+	r.remoteFree = append(r.remoteFree, a)
+	rq.TDone = r.eng.Now()
+	if done != nil {
+		done(rq)
+	}
+	rq.Release()
+}
+
+func (r *Router) newRemote(back int, req *mem.Request) *remote {
+	var a *remote
+	if n := len(r.remoteFree); n > 0 {
+		a = r.remoteFree[n-1]
+		r.remoteFree = r.remoteFree[:n-1]
+	} else {
+		a = &remote{r: r}
+		a.homeFn = a.homeDone
+	}
+	a.back, a.done, a.req = back, req.Done, req
+	return a
 }
 
 // New builds a router over two home CHAs; homeOf maps an address to its
@@ -162,24 +219,7 @@ func (p *port) Submit(req *mem.Request) {
 		r.stats.RemoteReads.Inc()
 	}
 	// Wrap completion: the response crosses back to the requester's socket.
-	back := 1 - dir
-	done := req.Done
-	req.Done = func(rq *mem.Request) {
-		var backSer sim.Time
-		if rq.Kind == mem.Read {
-			backSer = r.serialize(back)
-		}
-		delay := r.cfg.ReqLatency
-		if rq.Kind == mem.Read {
-			delay = r.cfg.DataLatency
-		}
-		r.eng.AfterFunc(backSer+delay, func(any) {
-			rq.TDone = r.eng.Now()
-			if done != nil {
-				done(rq)
-			}
-		}, nil)
-	}
+	req.Done = r.newRemote(1-dir, req).homeFn
 	r.eng.AfterFunc(outSer+r.cfg.ReqLatency, r.submitFn[home], req)
 }
 

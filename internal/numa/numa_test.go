@@ -77,7 +77,7 @@ func TestRemoteWriteSerializesOutbound(t *testing.T) {
 	times := map[int]sim.Time{}
 	for i := 0; i < 2; i++ {
 		i := i
-		req := &mem.Request{ID: uint64(i), Addr: 1 << 38, Kind: mem.Write}
+		req := &mem.Request{Addr: 1 << 38, Kind: mem.Write}
 		req.Done = func(*mem.Request) { times[i] = eng.Now() }
 		eng.AtFunc(0, func(any) { r.Port(0).Submit(req) }, nil)
 	}
