@@ -135,9 +135,10 @@ type CHA struct {
 	readInUse  int
 	writeInUse int
 	admitQ     reqQueue
-	readRetry  []*mem.Request // admitted reads waiting for RPQ space
-	wBacklog   []*mem.Request // admitted writes waiting for WPQ space
-	dirPending reqQueue       // directory reads waiting for a read entry
+	readRetry  []*mem.Request   // admitted reads waiting for RPQ space
+	wBacklog   [][]*mem.Request // per channel: admitted writes waiting for WPQ space, FIFO
+	wBacklogN  int              // writes in wBacklog, over all channels
+	dirPending reqQueue         // directory reads waiting for a read entry
 
 	// reqs pools the requests the CHA originates itself: DDIO eviction
 	// writebacks and directory reads.
@@ -154,15 +155,11 @@ type CHA struct {
 	readDoneFn   sim.EventFunc // MC read data -> CHA
 	ddioFree     []*ddioWriteArg
 
-	// One event lane per fixed-latency hop: each schedules a constant delay
-	// ahead, so its events arrive in time order.
-	procLane, toMCLane, fromMCLane, toCoreLane, toIIOLane, llcLane *sim.Lane
-
 	stats *Stats
 }
 
 // ddioWriteArg carries a DDIO write completion (and its optional eviction
-// writeback) through the event heap.
+// writeback) through the engine.
 type ddioWriteArg struct {
 	c     *CHA
 	r     *mem.Request
@@ -224,8 +221,7 @@ func New(eng *sim.Engine, cfg Config, mc *dram.Controller, ddio *cache.DDIO) *CH
 	c.backlogFn = c.backlogEvent
 	c.returnFn = c.returnEvent
 	c.readDoneFn = c.readDoneEvent
-	c.procLane, c.toMCLane, c.fromMCLane = eng.NewLane(), eng.NewLane(), eng.NewLane()
-	c.toCoreLane, c.toIIOLane, c.llcLane = eng.NewLane(), eng.NewLane(), eng.NewLane()
+	c.wBacklog = make([][]*mem.Request, mc.Channels())
 	mc.SetClient(c)
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := cfg.AuditDomain
@@ -236,7 +232,7 @@ func New(eng *sim.Engine, cfg Config, mc *dram.Controller, ddio *cache.DDIO) *CH
 		aud.Pool(domain, "write_entries", cfg.WriteEntries, func() int { return cfg.WriteEntries - c.writeInUse })
 		aud.Gauge(domain, "read_entries_occ", c.stats.ReadEntriesOcc, func() int { return c.readInUse })
 		aud.Gauge(domain, "write_entries_occ", c.stats.WriteEntriesOcc, func() int { return c.writeInUse })
-		aud.Gauge(domain, "wbacklog", c.stats.WBacklog, func() int { return len(c.wBacklog) })
+		aud.Gauge(domain, "wbacklog", c.stats.WBacklog, func() int { return c.wBacklogN })
 		aud.Latency(domain, "admit_lat", c.stats.AdmitLat)
 		aud.Latency(domain, "read_mc_lat_c2m", c.stats.ReadMCLat[0])
 		aud.Latency(domain, "read_mc_lat_p2m", c.stats.ReadMCLat[1])
@@ -319,7 +315,7 @@ func (c *CHA) tryAdmit() {
 				r.Done(r)
 			}
 		}
-		c.procLane.After(c.cfg.ProcDelay, c.processFn, r)
+		c.eng.AfterFunc(c.cfg.ProcDelay, c.processFn, r)
 	}
 }
 
@@ -348,7 +344,7 @@ func (c *CHA) process(r *mem.Request) {
 	if r.Source == mem.C2M && r.Kind == mem.Read && c.cfg.C2MHitRatio > 0 &&
 		c.rng.Float64() < c.cfg.C2MHitRatio {
 		c.stats.LLCHitsC2M.Inc()
-		c.llcLane.After(c.cfg.LLCHitLatency, c.llcReadFn, r)
+		c.eng.AfterFunc(c.cfg.LLCHitLatency, c.llcReadFn, r)
 		return
 	}
 	c.dispatch(r)
@@ -359,7 +355,7 @@ func (c *CHA) processDDIO(r *mem.Request) {
 	if r.Kind == mem.Read {
 		if c.ddio.Read(r.Addr) {
 			c.stats.DDIOHits.Inc()
-			c.llcLane.After(c.cfg.LLCHitLatency, c.llcReadFn, r)
+			c.eng.AfterFunc(c.cfg.LLCHitLatency, c.llcReadFn, r)
 			return
 		}
 		c.dispatch(r)
@@ -372,7 +368,7 @@ func (c *CHA) processDDIO(r *mem.Request) {
 	if hit {
 		c.stats.DDIOHits.Inc()
 	}
-	c.llcLane.After(c.cfg.LLCHitLatency, ddioWriteEvent, c.newDDIOWriteArg(r, wb, hasWB))
+	c.eng.AfterFunc(c.cfg.LLCHitLatency, ddioWriteEvent, c.newDDIOWriteArg(r, wb, hasWB))
 }
 
 // finishDDIOWrite completes a DMA write at the LLC and emits its eviction
@@ -438,10 +434,10 @@ func (c *CHA) drainDirectoryReads() {
 // dispatch sends a miss to the memory controller.
 func (c *CHA) dispatch(r *mem.Request) {
 	if r.Kind == mem.Read {
-		c.toMCLane.After(c.cfg.ToMC, c.dispatchRdFn, r)
+		c.eng.AfterFunc(c.cfg.ToMC, c.dispatchRdFn, r)
 		return
 	}
-	c.toMCLane.After(c.cfg.ToMC, c.backlogFn, r)
+	c.eng.AfterFunc(c.cfg.ToMC, c.backlogFn, r)
 }
 
 // dispatchReadEvent lands a read at the MC, parking it on the retry list if
@@ -459,16 +455,25 @@ func (c *CHA) dispatchReadEvent(arg any) {
 
 func (c *CHA) toBacklog(r *mem.Request) {
 	c.stats.WBacklog.Add(1)
-	c.wBacklog = append(c.wBacklog, r)
-	c.drainWrites()
+	ch := c.mc.ChannelOf(r.Addr)
+	c.wBacklog[ch] = append(c.wBacklog[ch], r)
+	c.wBacklogN++
+	c.drainWrites(ch)
 }
 
-// drainWrites pushes backlogged writes into WPQs with space. The scan keeps
-// FIFO order per channel but lets an open channel bypass a blocked one.
-func (c *CHA) drainWrites() {
-	kept := c.wBacklog[:0]
-	for _, r := range c.wBacklog {
+// drainWrites pushes channel ch's backlogged writes into its WPQ while it
+// has space, in FIFO order. Only the channel that just gained a write or
+// freed a WPQ slot can admit one: every other backlogged write failed at
+// its channel's last drain, and that WPQ has not drained since, because a
+// WPQ slot frees only in a burst completion, which calls WriteComplete.
+// The whole FIFO is scanned, so with WPQReserveP2M a P2M write may pass a
+// C2M write blocked on the same channel.
+func (c *CHA) drainWrites(ch int) {
+	q := c.wBacklog[ch]
+	kept := q[:0]
+	for _, r := range q {
 		if c.mc.TryEnqueue(r) {
+			c.wBacklogN--
 			c.stats.WBacklog.Add(-1)
 			c.stats.WriteMCLat[r.Source].Exit()
 			if r.Source == mem.P2M && r.Done != nil && r.TDone == 0 {
@@ -482,7 +487,8 @@ func (c *CHA) drainWrites() {
 		}
 		kept = append(kept, r)
 	}
-	c.wBacklog = kept
+	clear(q[len(kept):])
+	c.wBacklog[ch] = kept
 }
 
 // retryReads re-attempts RPQ dispatch for reads blocked on a full queue.
@@ -505,10 +511,10 @@ func (c *CHA) retryReads() {
 // requester with the appropriate return propagation.
 func (c *CHA) completeAfterReturn(r *mem.Request) {
 	if r.Source == mem.P2M {
-		c.toIIOLane.After(c.cfg.ToIIO, c.returnFn, r)
+		c.eng.AfterFunc(c.cfg.ToIIO, c.returnFn, r)
 		return
 	}
-	c.toCoreLane.After(c.cfg.ToCore, c.returnFn, r)
+	c.eng.AfterFunc(c.cfg.ToCore, c.returnFn, r)
 }
 
 // readDoneEvent lands read data back at the CHA after FromMC propagation.
@@ -522,14 +528,14 @@ func (c *CHA) readDoneEvent(arg any) {
 // ReadComplete implements dram.Client: a read burst finished on the channel.
 func (c *CHA) ReadComplete(r *mem.Request) {
 	c.retryReads()
-	c.fromMCLane.After(c.cfg.FromMC, c.readDoneFn, r)
+	c.eng.AfterFunc(c.cfg.FromMC, c.readDoneFn, r)
 }
 
 // WriteComplete implements dram.Client: the write's WPQ slot is free, so
-// drain the write backlog. It is the release point of every write that
-// reaches DRAM.
+// drain its channel's write backlog. It is the release point of every write
+// that reaches DRAM.
 func (c *CHA) WriteComplete(r *mem.Request) {
-	c.drainWrites()
+	c.drainWrites(c.mc.ChannelOf(r.Addr))
 	r.Release()
 }
 

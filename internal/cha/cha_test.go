@@ -1,6 +1,7 @@
 package cha
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
@@ -305,5 +306,97 @@ func TestStatsReset(t *testing.T) {
 	st.Reset()
 	if st.AdmitLat.Arr.Count() != 0 || st.DDIOHits.Count() != 0 {
 		t.Fatalf("reset incomplete")
+	}
+}
+
+// backlogRig is a CHA over a two-channel controller whose WPQs hold two
+// writes each, with the given P2M reserve.
+func backlogRig(reserve int) *rig {
+	mcCfg := dram.DefaultConfig()
+	mcCfg.Timing = testTiming()
+	mcCfg.WPQCap, mcCfg.WPQHigh, mcCfg.DrainBatch = 2, 2, 2
+	mcCfg.WPQReserveP2M = reserve
+	eng := sim.New()
+	mapper := mem.MustMapper(mem.MapperConfig{Channels: 2, Banks: 16, RowBytes: 8192})
+	mc := dram.New(eng, mcCfg, mapper, nil)
+	return &rig{eng: eng, mc: mc, cha: New(eng, DefaultConfig(), mc, nil)}
+}
+
+// TestWriteBacklogDrainsPerChannel backlogs writes on both channels and
+// checks that each channel admits its own writes in FIFO order, each one at
+// the instant a burst on that channel frees a WPQ slot.
+func TestWriteBacklogDrainsPerChannel(t *testing.T) {
+	r := backlogRig(0)
+	var lines [2][]*mem.Request // each channel's writes, in submission order
+	for a := mem.Addr(0); len(lines[0]) < 5 || len(lines[1]) < 5; a += mem.LineSize {
+		if ch := r.mc.ChannelOf(a); len(lines[ch]) < 5 {
+			lines[ch] = append(lines[ch], req(a, mem.Write, mem.P2M, 0))
+		}
+	}
+	var admitted [2][]*mem.Request
+	r.eng.AtFunc(0, func(any) {
+		for i := 0; i < 5; i++ {
+			for ch := range lines {
+				w := lines[ch][i]
+				w.Done = func(*mem.Request) { admitted[ch] = append(admitted[ch], w) }
+				r.cha.Submit(w)
+			}
+		}
+	}, nil)
+	r.eng.Run()
+	arrive := 7 * sim.Nanosecond // ProcDelay + ToMC
+	for ch := range lines {
+		if len(admitted[ch]) != 5 {
+			t.Fatalf("channel %d admitted %d of 5 writes", ch, len(admitted[ch]))
+		}
+		var bursts []sim.Time
+		for _, w := range lines[ch] {
+			bursts = append(bursts, w.TBurst)
+		}
+		sort.Slice(bursts, func(i, j int) bool { return bursts[i] < bursts[j] })
+		for i, w := range admitted[ch] {
+			if w != lines[ch][i] {
+				t.Fatalf("channel %d admitted write %d out of FIFO order", ch, i)
+			}
+			want := arrive
+			if i >= 2 {
+				want = bursts[i-2] // the WPQ holds two: the (i-1)th burst frees a slot
+			}
+			if w.TMCEnq != want {
+				t.Fatalf("channel %d write %d entered the WPQ at %v, want %v", ch, i, w.TMCEnq, want)
+			}
+		}
+	}
+	if got := r.cha.Stats().WBacklog.Level(); got != 0 {
+		t.Fatalf("backlog gauge ends at %v, want 0", got)
+	}
+}
+
+// TestP2MWritePassesBlockedC2MWrite checks that with a P2M reserve, a P2M
+// write behind a C2M write blocked on the same channel enters the WPQ
+// first.
+func TestP2MWritePassesBlockedC2MWrite(t *testing.T) {
+	r := backlogRig(1)
+	var lines []mem.Addr // three lines on channel 0
+	for a := mem.Addr(0); len(lines) < 3; a += mem.LineSize {
+		if r.mc.ChannelOf(a) == 0 {
+			lines = append(lines, a)
+		}
+	}
+	first := req(lines[0], mem.Write, mem.C2M, 0)
+	blocked := req(lines[1], mem.Write, mem.C2M, 0) // C2M may use one slot
+	p2m := req(lines[2], mem.Write, mem.P2M, 0)     // the reserved slot
+	r.eng.AtFunc(0, func(any) {
+		r.cha.Submit(first)
+		r.cha.Submit(blocked)
+		r.cha.Submit(p2m)
+	}, nil)
+	r.eng.Run()
+	arrive := 7 * sim.Nanosecond
+	if first.TMCEnq != arrive || p2m.TMCEnq != arrive {
+		t.Fatalf("WPQ entry at %v (C2M) and %v (P2M), want both at %v", first.TMCEnq, p2m.TMCEnq, arrive)
+	}
+	if blocked.TMCEnq <= arrive {
+		t.Fatalf("blocked C2M write entered the WPQ at %v, not after the P2M write", blocked.TMCEnq)
 	}
 }

@@ -113,15 +113,12 @@ type Core struct {
 	// the bound completion handlers, created once so issuing schedules
 	// without allocating a closure; reqs pools the core's requests and
 	// completeFree the args of prefetch-hit completion events for the same
-	// reason. Both hops have a fixed latency, so each has its own event
-	// lane.
+	// reason.
 	submitFn     sim.EventFunc
 	demandFn     func(*mem.Request)
 	prefetchFn   func(*mem.Request)
 	reqs         mem.Pool
 	completeFree []*completeArg
-	toCHA        *sim.Lane
-	pfHit        *sim.Lane
 
 	pf     *Prefetcher
 	pfWait map[mem.Addr][]Access
@@ -129,7 +126,7 @@ type Core struct {
 	waitFree [][]Access
 }
 
-// completeArg carries a prefetch-hit completion through the event heap.
+// completeArg carries a prefetch-hit completion through the engine.
 type completeArg struct {
 	c       *Core
 	acc     Access
@@ -185,13 +182,11 @@ func New(eng *sim.Engine, cfg Config, index int, c mem.Submitter, gen Generator)
 		pf := *cfg.Prefetch // private copy: prefetcher state is per core
 		core.pf = &pf
 		core.pfWait = make(map[mem.Addr][]Access)
-		core.pfHit = eng.NewLane()
 	}
 	core.waker = sim.NewWaker(eng, core.pump)
 	core.submitFn = core.submitEvent
 	core.demandFn = core.demandDone
 	core.prefetchFn = core.prefetchDone
-	core.toCHA = eng.NewLane()
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := fmt.Sprintf("cpu/core%d", index)
 		aud.Pool(domain, "lfb", cfg.LFBEntries, func() int { return core.free })
@@ -247,7 +242,7 @@ func (c *Core) issue(acc Access) {
 		switch state {
 		case pfReady:
 			// L2 hit on prefetched data: no memory request.
-			c.pfHit.After(c.pf.HitLatency, completeEvent, c.newCompleteArg(acc, now))
+			c.eng.AfterFunc(c.pf.HitLatency, completeEvent, c.newCompleteArg(acc, now))
 			return
 		case pfInflight:
 			// The prefetch is already fetching this line; piggyback on it.
@@ -269,7 +264,7 @@ func (c *Core) send(a mem.Addr, k mem.Kind, done func(*mem.Request)) {
 	r.Addr, r.Kind, r.Source, r.Origin = a, k, mem.C2M, c.index
 	r.TAlloc = c.eng.Now()
 	r.Done = done
-	c.toCHA.After(c.cfg.ToCHA, c.submitFn, r)
+	c.eng.AfterFunc(c.cfg.ToCHA, c.submitFn, r)
 }
 
 // demandDone completes a demand access: its LFB credit is replenished.

@@ -96,13 +96,15 @@ type Expander struct {
 
 func (e *Expander) arriveEvent(arg any) { e.arrive(arg.(*mem.Request)) }
 
-// ackEvent lands a posted-write acknowledgment back at the host.
+// ackEvent lands a posted-write acknowledgment back at the host, and drops
+// the ack's reference to the write.
 func (e *Expander) ackEvent(arg any) {
 	r := arg.(*mem.Request)
 	r.TDone = e.eng.Now()
 	if r.Done != nil {
 		r.Done(r)
 	}
+	r.Release()
 }
 
 // readBackEvent lands read data back at the host. It is a CXL read's
@@ -209,9 +211,12 @@ func (e *Expander) arrive(r *mem.Request) {
 }
 
 // writeAdmitted completes a write toward the host: CXL.mem writes are
-// posted once the device accepts them, with the ack crossing back.
+// posted once the device accepts them, with the ack crossing back. The ack
+// and the memory controller both hold the write from here, so the ack takes
+// a reference of its own.
 func (e *Expander) writeAdmitted(r *mem.Request) {
 	e.stats.Writes.Inc()
+	r.Hold()
 	e.eng.AfterFunc(e.cfg.LinkLatency, e.ackFn, r)
 }
 
@@ -237,7 +242,9 @@ func (e *Expander) ReadComplete(r *mem.Request) {
 	e.eng.AfterFunc(backSer+e.cfg.LinkLatency, e.readBackFn, r)
 }
 
-// WriteComplete implements dram.Client. A posted write stays unreleased:
-// its ack and this memory controller both hold it, and neither is
-// reliably the last.
-func (e *Expander) WriteComplete(*mem.Request) { e.drain() }
+// WriteComplete implements dram.Client and drops the memory controller's
+// reference to the write.
+func (e *Expander) WriteComplete(r *mem.Request) {
+	e.drain()
+	r.Release()
+}

@@ -43,6 +43,37 @@ func TestWritePostedAtDevice(t *testing.T) {
 	}
 }
 
+// TestPostedWriteReturnsToPool checks a posted write's two holders: the
+// ack and the memory controller each drop a reference, in either order, and
+// the write goes back to its pool once both have.
+func TestPostedWriteReturnsToPool(t *testing.T) {
+	dramFirst := DefaultConfig()
+	dramFirst.MC.WPQOppEntry = 1 // an idle channel writes one line at once
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"DRAM first", dramFirst}, {"ack first", DefaultConfig()}} {
+		name, cfg := tc.name, tc.cfg
+		t.Run(name, func(t *testing.T) {
+			eng := sim.New()
+			e := New(eng, cfg)
+			var pool mem.Pool
+			r := pool.Get()
+			r.Kind = mem.Write
+			var acked, written sim.Time
+			r.Done = func(*mem.Request) { acked, written = eng.Now(), r.TBurst }
+			eng.AtFunc(0, func(any) { e.Submit(r) }, nil)
+			eng.Run()
+			if first := written != 0 && written < acked; first != (name == "DRAM first") {
+				t.Fatalf("burst at %v, ack at %v: the order is not %s", written, acked, name)
+			}
+			if pool.Get() != r {
+				t.Fatalf("posted write did not return to its pool")
+			}
+		})
+	}
+}
+
 func TestLinkSerializesReads(t *testing.T) {
 	eng := sim.New()
 	e := New(eng, DefaultConfig())

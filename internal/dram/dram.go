@@ -232,9 +232,6 @@ type channel struct {
 	lastDrainEnd sim.Time
 	waker        *sim.Waker
 	burstFn      sim.EventFunc // bound burstDone handler, created once
-	// bursts carries burst completions: busyTill only grows, so every
-	// burstEnd is later than the one before.
-	bursts *sim.Lane
 
 	// timing points at the constants the scheduler uses: the controller's
 	// configured Timing normally, or throttled (a scaled copy) while a
@@ -308,7 +305,6 @@ func New(eng *sim.Engine, cfg Config, mapper *mem.Mapper, client Client) *Contro
 		ch.timing = &c.cfg.Timing
 		ch.waker = sim.NewWaker(eng, ch.kick)
 		ch.burstFn = ch.burstDoneEvent
-		ch.bursts = eng.NewLane()
 		c.chans = append(c.chans, ch)
 	}
 	if aud := cfg.Audit; aud.Enabled() {
@@ -662,7 +658,7 @@ func (ch *channel) issue(r *mem.Request) {
 	if r.Kind == mem.Read {
 		ch.sampleBank(coord.Bank)
 	}
-	ch.bursts.At(burstEnd, ch.burstFn, r)
+	eng.AtFunc(burstEnd, ch.burstFn, r)
 }
 
 func (ch *channel) burstDoneEvent(arg any) { ch.burstDone(arg.(*mem.Request)) }

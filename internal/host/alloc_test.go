@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/cxl"
 	"repro/internal/netsim"
 	"repro/internal/periph"
 	"repro/internal/sim"
@@ -59,6 +60,12 @@ func TestRequestPathAllocationFree(t *testing.T) {
 			return loadedHost(cfg)
 		}},
 		{"DCTCP", dctcpHost},
+		{"CXL", func() *Host {
+			h := NewWithCXL(CascadeLake(), cxl.DefaultConfig())
+			h.AddCore(workload.NewSeqRead(h.CXLRegion(1<<30), 1<<30))
+			h.AddCore(workload.NewSeqReadWrite(h.CXLRegion(1<<30), 1<<30))
+			return h
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -117,16 +117,10 @@ type IIO struct {
 	writeFn, readFn func(*mem.Request)
 	reqs            mem.Pool
 	doneFree        []*doneArg
-
-	// Event lanes, one per hop whose times only grow: write TLPs reach the
-	// CHA paced by upFreeAt, read requests a fixed delay after issue,
-	// credit returns a fixed delay after WPQ admission, and read
-	// completions paced by dnFreeAt.
-	wrLane, rdLane, creditLane, dnLane *sim.Lane
 }
 
 // doneArg carries a credit return (write) or completion delivery (read)
-// through the event heap, with the caller's optional done callback.
+// through the engine, with the caller's optional done callback.
 type doneArg struct {
 	i    *IIO
 	done func()
@@ -214,7 +208,6 @@ func New(eng *sim.Engine, cfg Config, c mem.Submitter) *IIO {
 	i.rdPaceWaker = sim.NewWaker(eng, func() { fire(&i.rdWaiters, &i.rdSpare, &i.rdRot) })
 	i.submitFn = i.submitEvent
 	i.writeFn, i.readFn = i.writeDone, i.readDone
-	i.wrLane, i.rdLane, i.creditLane, i.dnLane = eng.NewLane(), eng.NewLane(), eng.NewLane(), eng.NewLane()
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := cfg.AuditDomain
 		if domain == "" {
@@ -350,7 +343,7 @@ func (i *IIO) TryWrite(addr mem.Addr, origin int, done func()) bool {
 	// Serialize on the upstream link.
 	i.upFreeAt = now + i.cfg.LinePeriodUp
 	arrive := i.upFreeAt + i.cfg.DeviceToIIO
-	i.wrLane.At(arrive+i.cfg.ToCHA, i.submitFn, i.request(addr, mem.Write, origin, i.writeFn, done))
+	i.eng.AtFunc(arrive+i.cfg.ToCHA, i.submitFn, i.request(addr, mem.Write, origin, i.writeFn, done))
 	return true
 }
 
@@ -366,7 +359,7 @@ func (i *IIO) request(addr mem.Addr, k mem.Kind, origin int, handler func(*mem.R
 // writeDone handles WPQ (or DDIO LLC) admission: the credit returns after
 // the completion notification propagates back.
 func (i *IIO) writeDone(r *mem.Request) {
-	i.creditLane.After(i.cfg.CreditReturn, creditReturnEvent, i.newDoneArg(r.Notify))
+	i.eng.AfterFunc(i.cfg.CreditReturn, creditReturnEvent, i.newDoneArg(r.Notify))
 }
 
 // readDone handles data back at the IIO: it serializes the completion on
@@ -377,7 +370,7 @@ func (i *IIO) readDone(r *mem.Request) {
 		dnStart = n
 	}
 	i.dnFreeAt = dnStart + i.cfg.LinePeriodDown
-	i.dnLane.At(i.dnFreeAt, readDeliveredEvent, i.newDoneArg(r.Notify))
+	i.eng.AtFunc(i.dnFreeAt, readDeliveredEvent, i.newDoneArg(r.Notify))
 }
 
 // TryRead starts a one-line DMA read (memory -> device). It returns false if
@@ -398,6 +391,6 @@ func (i *IIO) TryRead(addr mem.Addr, origin int, done func()) bool {
 	i.rdFree--
 	i.stats.ReadOcc.Add(1)
 	i.stats.ReadLat.Enter()
-	i.rdLane.At(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, i.request(addr, mem.Read, origin, i.readFn, done))
+	i.eng.AtFunc(now+i.cfg.ReqToIIO+i.cfg.ToCHA, i.submitFn, i.request(addr, mem.Read, origin, i.readFn, done))
 	return true
 }

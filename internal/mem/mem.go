@@ -20,16 +20,18 @@
 //   - a write that reaches DRAM: the CHA, when the write's burst completes;
 //   - a P2M write that DDIO absorbs: the CHA, after Done and after its last
 //     read of the request (an eviction it emits is a new request);
-//   - a CXL read: the expander's read-back event, after Done.
+//   - a CXL read: the expander's read-back event, after Done;
+//   - a CXL posted write: the expander, twice. It takes a Hold when it
+//     admits the write, because the ack crossing back and the expander's
+//     memory controller both keep it and neither is reliably the last; the
+//     ack event releases after Done, and the expander's WriteComplete after
+//     its backlog drain.
 //
 // A component that keeps a request past its path's release point takes a
 // Hold first and releases it when done (the NUMA router's cross-socket
-// completion does). A path that has two late holders and no single last
-// one, such as a CXL posted write (its ack and the expander's memory
-// controller both keep it), leaves the request unreleased for the garbage
-// collector. Unreleased is always safe; released early is not: the request
-// is zeroed and reissued while something still reads it, which corrupts
-// results without failing.
+// completion does). Unreleased is always safe; released early is not: the
+// request is zeroed and reissued while something still reads it, which
+// corrupts results without failing.
 package mem
 
 import "repro/internal/sim"

@@ -69,7 +69,6 @@ type RDMAWrite struct {
 	wake     func()        // bound credit-wait callback, created once
 	dmaDone  func()        // bound DMA completion (Delivered.Inc), created once
 	arriveFn sim.EventFunc // bound arrival handler: one event per wire line
-	arrivals *sim.Lane     // the wire clock: one line per LinePeriod
 
 	// Delivered counts lines whose DMA completed (the app-visible
 	// throughput of the RDMA transfer).
@@ -99,7 +98,6 @@ func NewRDMAWrite(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMAWrite 
 		QueueOcc:  telemetry.NewIntegrator(eng),
 	}
 	w.arriveFn = w.arriveEvent
-	w.arrivals = eng.NewLane()
 	w.wake = func() { w.waiting = false; w.pump() }
 	w.dmaDone = w.Delivered.Inc
 	if aud := cfg.Audit; aud.Enabled() {
@@ -162,7 +160,7 @@ func (r *RDMAWrite) arrive() {
 		r.updatePFC()
 		r.pump()
 	}
-	r.arrivals.After(r.cfg.LinePeriod, r.arriveFn, nil)
+	r.eng.AfterFunc(r.cfg.LinePeriod, r.arriveFn, nil)
 }
 
 // FaultSetLinkDown suspends (or resumes) wire arrivals.
@@ -247,7 +245,6 @@ type RDMARead struct {
 	wake     func()        // bound credit-wait callback, created once
 	dmaDone  func()        // bound DMA completion (Delivered.Inc), created once
 	pumpFn   sim.EventFunc // bound pump handler: one event per paced line
-	pacing   *sim.Lane     // pump events at paceAt, which only grows
 
 	Delivered *telemetry.Counter
 }
@@ -256,7 +253,6 @@ type RDMARead struct {
 func NewRDMARead(eng *sim.Engine, cfg RDMAWriteConfig, io *iio.IIO) *RDMARead {
 	rd := &RDMARead{eng: eng, cfg: cfg, io: io, Delivered: telemetry.NewCounter(eng)}
 	rd.pumpFn = rd.pumpEvent
-	rd.pacing = eng.NewLane()
 	rd.wake = func() { rd.waiting = false; rd.pump() }
 	rd.dmaDone = rd.Delivered.Inc
 	return rd
@@ -288,7 +284,7 @@ func (r *RDMARead) pump() {
 	for {
 		now := r.eng.Now()
 		if r.paceAt > now {
-			r.pacing.At(r.paceAt, r.pumpFn, nil)
+			r.eng.AtFunc(r.paceAt, r.pumpFn, nil)
 			return
 		}
 		addr := r.cfg.BufBase + mem.Addr((r.nextLine*mem.LineSize)%r.cfg.BufBytes)

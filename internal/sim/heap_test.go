@@ -6,75 +6,93 @@ import (
 	"testing/quick"
 )
 
+// horizon is the wheel's span: an event this far past now's bucket goes to
+// the far heap.
+const horizon = Time(nBuckets << bucketShift)
+
 // TestHeapMatchesReferenceModel drives the engine with random interleavings
-// of AtFunc, AfterFunc, lane scheduling and Step and checks every dispatch
-// against a reference model (the same events ordered by sort.Slice on
-// (time, seq)). This pins the 4-ary heap's pop order, and the lanes merged
-// into it, to the exact (time, seq) contract the rest of the simulator's
-// determinism rests on. Lane calls come in order, out of order (earlier
-// than the lane's last entry) and at the current instant. Pending must
-// count every scheduled, undispatched event, lane entries included.
+// of AtFunc, AfterFunc, decrease-key, Step and RunUntil and checks every
+// dispatch against a reference model: the dispatched event must hold the
+// least (time, seq) key of every event the model has pending, and fire at
+// its time. This pins the wheel's and the far heap's pop order to the exact
+// (time, seq) contract the rest of the simulator's determinism rests on.
+// Times fall within a bucket, within the wheel, at and around the horizon,
+// and several laps ahead; RunUntil bounds fall between events and move the
+// clock by up to two laps, so far events come due beside wheel events.
+// Pending must count every scheduled, undispatched event.
 func TestHeapMatchesReferenceModel(t *testing.T) {
-	type ref struct {
+	type key struct {
 		at  Time
-		seq int // scheduling order
+		seq uint64
 	}
+	less := func(a, b key) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
 	f := func(ops []uint32) bool {
 		e := New()
-		lanes := []*Lane{e.NewLane(), e.NewLane()}
-		var tails [2]Time // latest time scheduled through each lane
-		var model []ref
-		var got []ref
-		seq := 0
-		add := func(at Time) EventFunc {
-			r := ref{at: at, seq: seq}
-			seq++
-			model = append(model, r)
-			return func(any) { got = append(got, ref{e.Now(), r.seq}) }
+		pending := map[int]key{} // label -> key of each undispatched event
+		var labels []int         // pending labels, for picking one to move
+		ok := true
+		fire := func(arg any) {
+			l := arg.(int)
+			k := pending[l]
+			for _, o := range pending {
+				if less(o, k) {
+					ok = false
+				}
+			}
+			if e.Now() != k.at {
+				ok = false
+			}
+			delete(pending, l)
+		}
+		next := 0
+		add := func(at Time) {
+			e.AtFunc(at, fire, next)
+			pending[next] = key{at, e.seq}
+			labels = append(labels, next)
+			next++
 		}
 		for _, op := range ops {
-			k := op / 8 % 2
-			l := lanes[k]
-			switch op % 8 {
-			case 0, 1: // AtFunc: absolute time in a small range for collisions
-				at := Time(op % 509)
-				if at < e.Now() {
-					at = e.Now()
+			now := e.Now()
+			v := Time(op / 16)
+			switch op % 16 {
+			case 0, 1: // absolute time in a small range, for collisions
+				add(max(v%509, now))
+			case 2, 3: // a short delay, often within now's bucket
+				add(now + v%97)
+			case 4: // within the wheel
+				add(now + v%horizon)
+			case 5: // around the horizon, either side of it
+				add(now + horizon - 4096 + v%8192)
+			case 6: // the first and last instants of the bucket one lap on
+				b := (now>>bucketShift + nBuckets) << bucketShift
+				add(b - Time(v%2))
+			case 7: // several laps ahead
+				add(now + (1+v%5)*horizon + v/8%3000)
+			case 8: // decrease-key: move a pending event to an earlier time
+				if len(labels) == 0 {
+					break
 				}
-				e.AtFunc(at, add(at), nil)
-			case 2: // AfterFunc: relative delay
-				d := Time(op % 97)
-				e.AfterFunc(d, add(e.Now()+d), nil)
-			case 3: // lane, in order: at or after the lane's last entry
-				at := max(tails[k], e.Now()) + Time(op%7)
-				tails[k] = at
-				l.At(at, add(at), nil)
-			case 4: // lane, any order: often earlier than its last entry
-				d := Time(op % 61)
-				tails[k] = max(tails[k], e.Now()+d)
-				l.After(d, add(e.Now()+d), nil)
-			case 5: // lane, at the current instant
-				l.At(e.Now(), add(e.Now()), nil)
-			case 6, 7: // Step: interleave dispatch with scheduling
+				l := labels[int(v)%len(labels)]
+				k, live := pending[l]
+				if !live || k.at == now {
+					break
+				}
+				to := now + v/64%(k.at-now)
+				fresh := e.reschedule(k.at, k.seq, to, useFreshSeq)
+				pending[l] = key{to, fresh}
+			case 9: // RunUntil a bound that often falls between events
+				e.RunUntil(now + v%3000)
+			case 10: // RunUntil up to two laps on
+				e.RunUntil(now + v%(2*horizon))
+			default:
 				e.Step()
 			}
-			if e.Pending() != len(model)-len(got) {
+			if e.Pending() != len(pending) || !ok {
 				return false
 			}
 		}
 		e.Run()
-		if len(got) != len(model) {
-			return false
-		}
-		// The reference: stable sort by time keeps scheduling order within
-		// an instant, which is exactly the (time, seq) contract.
-		sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
-		for i := range model {
-			if got[i].at != model[i].at || got[i].seq != model[i].seq {
-				return false
-			}
-		}
-		return true
+		return ok && len(pending) == 0 && e.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -99,37 +117,38 @@ func TestAtFuncPassesArg(t *testing.T) {
 
 // TestSteadyStateSchedulingZeroAlloc is the allocation gate behind the CI
 // bench smoke step, enforced on every plain `go test` run: steady-state
-// scheduling through AtFunc, AfterFunc, Lane.At and Lane.After (with a
-// reused handler) and Waker arming must not allocate. The heap and the
-// lane's ring are pre-grown so slice growth (a one-time, amortized cost) is
-// excluded.
+// scheduling through AtFunc and AfterFunc (with a reused handler), an event
+// past the horizon, and Waker arming and decrease-key, within a bucket and
+// across buckets, must not allocate. The slab and the far heap are
+// pre-grown so slice growth (a one-time, amortized cost) is excluded.
 func TestSteadyStateSchedulingZeroAlloc(t *testing.T) {
 	e := New()
 	w := NewWaker(e, func() {})
-	l := e.NewLane()
 	handler := func(any) {}
-	for i := 0; i < 64; i++ { // pre-grow the heap's and the lane's backing arrays
+	for i := 0; i < 64; i++ { // pre-grow the slab and the far heap
 		e.AtFunc(Time(i), handler, nil)
-		l.At(Time(i), handler, nil)
+		e.AfterFunc(2*horizon+Time(i), handler, nil)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		now := e.Now()
 		e.AtFunc(now+5, handler, w)
 		e.AfterFunc(10, handler, nil)
-		l.At(now+3, handler, nil)
-		l.After(4, handler, nil)
-		w.WakeAt(now + 7)
-		w.WakeAt(now + 2) // supersede
-		e.RunUntil(now + 20)
+		e.AfterFunc(horizon+10, handler, nil) // the far heap
+		b := (now>>bucketShift + 2) << bucketShift
+		w.WakeAt(b + 700)
+		w.WakeAt(b + 300) // decrease-key within a bucket
+		w.WakeAt(now + 2) // and across buckets
+		e.RunUntil(now + horizon + 20)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state scheduling allocated %v per run, want 0", allocs)
 	}
 }
 
-// TestHeapDeepOrdering exercises sift-down through several 4-ary levels
-// (hundreds of pending events) against a full reference ordering.
+// TestHeapDeepOrdering checks 2000 events within 1000 ps, so one bucket
+// holds hundreds of them and seq breaks most ties, against a full reference
+// ordering.
 func TestHeapDeepOrdering(t *testing.T) {
 	e := New()
 	rng := RNG(99)

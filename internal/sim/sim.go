@@ -7,35 +7,41 @@
 // order, so two events scheduled for the same instant run in scheduling
 // order, making whole-simulation runs fully deterministic for a given seed.
 //
-// The engine is allocation-free in steady state and its scheduling structure
-// is split in four:
+// # The calendar wheel
 //
-//   - a flat, pointer-free 4-ary min-heap of (at, seq, slot) nodes — sifts
-//     move 24-byte scalar records and never touch a pointer, so they incur
-//     no GC write barriers;
-//   - a side slot table carrying each event's (fn, arg) pair, indexed by the
-//     node's slot id, with a LIFO free list;
-//   - a same-instant FIFO ring for events scheduled at exactly the current
-//     time (a large fraction of all pushes: completions that immediately
-//     kick a scheduler). Those never need heap ordering — within one
-//     instant, seq order is insertion order — so they bypass the heap
-//     entirely;
-//   - lanes (see Lane): rings for the events of one fixed-latency hop,
-//     whose times never decrease. Only a lane's head is a heap node, so
-//     most pipeline events never enter the heap, and dispatching a head
-//     costs one sift-down instead of a pop and a push.
+// Pending events live in a calendar queue (R. Brown, CACM 31(10), 1988):
+// a wheel of 1024 buckets, each 1024 ps wide, plus a small 4-ary heap for
+// events at or beyond the wheel's horizon, 1024 buckets (1 048 576 ps,
+// about 1.05 µs) past the start of now's bucket. A bucket is an intrusive
+// list of nodes ascending by (at, seq), and a 1024-bit occupancy bitmap
+// finds the first non-empty bucket. Every node lives in one slab, recycled
+// through a LIFO free list, so steady-state scheduling allocates nothing
+// and a freshly freed node is still in cache.
 //
-// None of these can change the order events fire in. Every event, on any
-// path, takes one sequence number when it is scheduled, and dispatch always
-// picks the least (at, seq) among the FIFO's front and the heap's root. A
-// lane holds its entries in (at, seq) order, so its head is its least entry
-// and the heap sees every lane's minimum; a lane call that would break that
-// order (earlier than the lane's last entry) takes the heap path instead.
+// The geometry follows the simulator's scheduling delays. A quarter of all
+// scheduling calls are at the current instant and nearly all the rest are
+// fixed-latency hops of a few to a few hundred nanoseconds: in hostbench's
+// host-cold workload, all but about 5 000 of 105 M calls land within
+// 262 ns, and about 200 land more than 1.05 µs ahead. The fabric's wire,
+// forward and pause hops (250-600 ns) and the RDMA co-runs' 1 µs IIO
+// sampler stay inside the horizon. A bucket one nanosecond wide holds a
+// handful of events: in host-cold, half of all inserts find their bucket
+// empty or append behind its tail, and the rest walk 1.25 nodes from its
+// head on average.
 //
-// The slot indirection also gives the engine true decrease-key: a Waker that
-// wants an earlier callback reschedules its existing event in place instead
-// of pushing a superseding duplicate and letting the stale one fire as a
-// no-op. Waker events therefore stay on the heap. AtFunc/AfterFunc carry
+// Neither structure can change the order events fire in. Every event takes
+// one sequence number when it is scheduled, and (at, seq) keys are unique,
+// so the pending set has exactly one least key. A bucket holds one lap only:
+// an event goes to the wheel only when its bucket is fewer than 1024
+// buckets past now's, so the wheel's events span at most 1024 consecutive
+// buckets and the circular scan from now's bucket meets them in time
+// order. The first node of the first non-empty bucket is therefore the
+// wheel's least key, the far heap's root is the far events' least key, and
+// dispatch takes the lesser of the two. A far event stays in the far heap
+// until it fires.
+//
+// Decrease-key, which a Waker uses to move its one live event earlier, is
+// remove-and-insert of the event keyed (at, seq). AtFunc/AfterFunc carry
 // callbacks as a (func(arg any), arg) pair so hot components schedule with
 // a long-lived handler plus a pooled or already-allocated argument instead
 // of a fresh closure; a cold call site may pass a func(any) literal and a
@@ -45,6 +51,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a simulated timestamp or duration in picoseconds.
@@ -91,34 +98,26 @@ func (t Time) String() string {
 // dispatchers) with the per-event state carried in arg.
 type EventFunc func(arg any)
 
-// node is one heap entry: pointer-free so sifts never incur GC write
-// barriers. slot indexes the engine's side table holding (fn, arg). A lane
-// node stands for its lane's head entry; its slot is the lane's permanent
-// one, whose arg is the *Lane.
+// The wheel's geometry: 1 << wheelBits buckets, each 1 << bucketShift ps
+// wide.
+const (
+	bucketShift = 10
+	wheelBits   = 10
+	nBuckets    = 1 << wheelBits
+)
+
+// maxTime bounds a dispatch that has no time limit.
+const maxTime = Time(math.MaxInt64)
+
+// node is one pending event. Nodes live in the engine's slab and link by
+// index; index 0 is the nil link, so a zero link ends a list.
 type node struct {
 	at   Time
 	seq  uint64
-	slot int32
-	lane bool
+	next int32 // next node in the bucket, or in the free list
+	fn   EventFunc
+	arg  any
 }
-
-// eslot carries an event's callback and argument, referenced by slot id.
-type eslot struct {
-	fn  EventFunc
-	arg any
-}
-
-// fent is one same-instant FIFO entry; its timestamp is the engine's fifoAt.
-type fent struct {
-	seq  uint64
-	slot int32
-}
-
-// pos sentinels for slots not resident in the heap.
-const (
-	posFIFO int32 = -1 // slot queued in the same-instant FIFO
-	posFree int32 = -2 // slot on the free list
-)
 
 // Engine is a single-threaded discrete-event scheduler.
 //
@@ -129,22 +128,13 @@ type Engine struct {
 	seq  uint64
 	nRun uint64
 
-	nodes []node  // flat 4-ary min-heap ordered by (at, seq)
-	slots []eslot // slot id -> (fn, arg)
-	free  []int32 // LIFO free list of slot ids
-	pos   []int32 // slot id -> heap index, posFIFO, or posFree
+	nodes []node // slab; nodes[0] is the nil link
+	free  int32  // LIFO free list of slab nodes, linked through next
+	n     int    // pending events, in the wheel and the far heap
 
-	// Same-instant FIFO: events scheduled at exactly the current time, in
-	// insertion (= seq) order. The FIFO always drains before the clock
-	// advances, so every entry shares the timestamp fifoAt == now.
-	fifo     []fent // power-of-two ring
-	fifoHead int
-	fifoLen  int
-	fifoAt   Time
-
-	// laneQueued counts lane entries queued behind their lane's head (the
-	// heads themselves are heap nodes).
-	laneQueued int
+	head, tail [nBuckets]int32       // each bucket's list, ascending by (at, seq)
+	occ        [nBuckets / 64]uint64 // bit b set iff bucket b is non-empty
+	far        []int32               // 4-ary min-heap of events past the horizon
 
 	// Event-cadence hook (see SetEventHook). hook == nil is the common case
 	// and costs Step a single untaken branch.
@@ -163,279 +153,269 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.nodes) + e.fifoLen + e.laneQueued }
+func (e *Engine) Pending() int { return e.n }
 
-// The heap is 4-ary: children of node i are 4i+1..4i+4, parent (i-1)/4.
-// Compared to a binary heap this halves tree depth (fewer cache lines per
-// sift) at the cost of up to three extra comparisons per level, a trade
-// that wins for the small, hot heaps the simulator sustains. Since (at,
-// seq) is a strict total order (seq is unique), every valid min-heap pops
-// in the same sequence, so the layout change cannot perturb simulation
-// results.
-
-// nodeLess orders nodes by (at, seq). The form is chosen so the compiler
-// can lower it to flag arithmetic without a branch: sift loops spend most
-// of their cycles on data-dependent comparisons the predictor cannot learn.
-func nodeLess(a, b *node) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// less orders slab nodes by (at, seq).
+func (e *Engine) less(a, b int32) bool {
+	x, y := &e.nodes[a], &e.nodes[b]
+	if x.at != y.at {
+		return x.at < y.at
 	}
-	return a.seq < b.seq
+	return x.seq < y.seq
 }
 
-// siftUp moves the node at index i toward the root until its parent is not
-// after it, keeping pos in sync.
-func (e *Engine) siftUp(i int) {
-	h, pos := e.nodes, e.pos
-	nd := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if nodeLess(&h[p], &nd) {
+// newNode takes a node from the free list, or grows the slab. The fields
+// are stored one by one: a whole-struct store of a node, which holds
+// pointers, costs a bulk write-barrier copy.
+func (e *Engine) newNode(t Time, seq uint64, fn EventFunc, arg any) int32 {
+	i := e.free
+	if i == 0 {
+		return e.growNode(t, seq, fn, arg)
+	}
+	nd := &e.nodes[i]
+	e.free = nd.next
+	nd.at, nd.seq, nd.next = t, seq, 0
+	nd.fn, nd.arg = fn, arg
+	return i
+}
+
+// growNode appends a node to the slab, first reserving node 0 as the nil
+// link.
+func (e *Engine) growNode(t Time, seq uint64, fn EventFunc, arg any) int32 {
+	if len(e.nodes) == 0 {
+		e.nodes = append(e.nodes, node{})
+	}
+	e.nodes = append(e.nodes, node{at: t, seq: seq, fn: fn, arg: arg})
+	return int32(len(e.nodes) - 1)
+}
+
+// insert files node i, keyed (t, seq), into its bucket when the bucket is
+// within one lap of now's, else into the far heap.
+func (e *Engine) insert(i int32, t Time, seq uint64) {
+	e.n++
+	if uint64(t>>bucketShift-e.now>>bucketShift) >= nBuckets {
+		e.far = append(e.far, i)
+		e.farUp(len(e.far) - 1)
+		return
+	}
+	b := int(t>>bucketShift) & (nBuckets - 1)
+	tl := e.tail[b]
+	if tl == 0 {
+		e.head[b], e.tail[b] = i, i
+		e.occ[b>>6] |= 1 << (b & 63)
+		return
+	}
+	if x := &e.nodes[tl]; x.at < t || x.at == t && x.seq < seq {
+		x.next = i
+		e.tail[b] = i
+		return
+	}
+	p, c := int32(0), e.head[b]
+	for e.less(c, i) {
+		p, c = c, e.nodes[c].next
+	}
+	e.nodes[i].next = c
+	if p == 0 {
+		e.head[b] = i
+	} else {
+		e.nodes[p].next = i
+	}
+}
+
+// remove unlinks the pending event keyed (at, seq) and returns its node.
+func (e *Engine) remove(at Time, seq uint64) int32 {
+	e.n--
+	if uint64(at>>bucketShift-e.now>>bucketShift) < nBuckets {
+		b := int(at>>bucketShift) & (nBuckets - 1)
+		p := int32(0)
+		for c := e.head[b]; c != 0; p, c = c, e.nodes[c].next {
+			if nd := &e.nodes[c]; nd.at == at && nd.seq == seq {
+				e.unlink(b, p, c)
+				return c
+			}
+		}
+	}
+	for k, c := range e.far {
+		if nd := &e.nodes[c]; nd.at == at && nd.seq == seq {
+			e.farRemove(k)
+			return c
+		}
+	}
+	panic(fmt.Sprintf("sim: no pending event at %v with seq %d", at, seq))
+}
+
+// unlink removes node c, whose predecessor in bucket b is p (0 at the head).
+func (e *Engine) unlink(b int, p, c int32) {
+	nx := e.nodes[c].next
+	e.nodes[c].next = 0
+	if p == 0 {
+		e.head[b] = nx
+	} else {
+		e.nodes[p].next = nx
+	}
+	if e.tail[b] == c {
+		e.tail[b] = p
+	}
+	if nx == 0 && p == 0 {
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// firstBucket returns the earliest non-empty bucket, scanning circularly
+// from now's. The wheel must hold at least one event. Its usual case, a
+// bucket in now's bitmap word, inlines.
+func (e *Engine) firstBucket() int {
+	start := int(e.now>>bucketShift) & (nBuckets - 1)
+	if m := e.occ[start>>6] >> (start & 63); m != 0 {
+		return start + bits.TrailingZeros64(m)
+	}
+	return e.scanBuckets(start >> 6)
+}
+
+// scanBuckets finds the first non-empty bucket in the bitmap words after
+// word w, wrapping round to w itself.
+func (e *Engine) scanBuckets(w int) int {
+	for k := 1; k <= len(e.occ); k++ {
+		ww := (w + k) & (len(e.occ) - 1)
+		if m := e.occ[ww]; m != 0 {
+			return ww<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: occupancy bitmap out of step with the wheel")
+}
+
+// The far heap is 4-ary: children of index k are 4k+1..4k+4, parent
+// (k-1)/4. It holds the few events scheduled past the horizon.
+
+// farUp moves the far heap's entry at k toward the root.
+func (e *Engine) farUp(k int) {
+	h := e.far
+	x := h[k]
+	for k > 0 {
+		p := (k - 1) / 4
+		if !e.less(x, h[p]) {
 			break
 		}
-		h[i] = h[p]
-		pos[h[i].slot] = int32(i)
-		i = p
+		h[k] = h[p]
+		k = p
 	}
-	h[i] = nd
-	pos[nd.slot] = int32(i)
+	h[k] = x
 }
 
-// siftDown moves the node at index i toward the leaves until no child is
-// before it, keeping pos in sync.
-func (e *Engine) siftDown(i int) {
-	h, pos := e.nodes, e.pos
-	n := len(h)
-	nd := h[i]
+// farDown moves the far heap's entry at k toward the leaves.
+func (e *Engine) farDown(k int) {
+	h := e.far
+	x := h[k]
 	for {
-		c := 4*i + 1
-		if c >= n {
+		m := 4*k + 1
+		if m >= len(h) {
 			break
 		}
-		// Find the earliest of up to four children. The full-fan case is
-		// unrolled as a pairwise-min tree of branchless selects.
-		m := c
-		if c+3 < n {
-			a, b := c, c+1
-			if nodeLess(&h[b], &h[a]) {
-				a = b
-			}
-			x, y := c+2, c+3
-			if nodeLess(&h[y], &h[x]) {
-				x = y
-			}
-			if nodeLess(&h[x], &h[a]) {
-				a = x
-			}
-			m = a
-		} else {
-			for cc := c + 1; cc < n; cc++ {
-				if nodeLess(&h[cc], &h[m]) {
-					m = cc
-				}
+		for c := m + 1; c < min(m+4, len(h)); c++ {
+			if e.less(h[c], h[m]) {
+				m = c
 			}
 		}
-		if nodeLess(&nd, &h[m]) {
+		if !e.less(h[m], x) {
 			break
 		}
-		h[i] = h[m]
-		pos[h[i].slot] = int32(i)
-		i = m
+		h[k] = h[m]
+		k = m
 	}
-	h[i] = nd
-	pos[nd.slot] = int32(i)
+	h[k] = x
 }
 
-// alloc claims a slot for (fn, arg), reusing the free list.
-func (e *Engine) alloc(fn EventFunc, arg any) int32 {
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		e.slots[s] = eslot{fn: fn, arg: arg}
-		return s
+// farRemove deletes the far heap's entry at k.
+func (e *Engine) farRemove(k int) {
+	n := len(e.far) - 1
+	e.far[k] = e.far[n]
+	e.far = e.far[:n]
+	if k < n {
+		e.farUp(k)
+		e.farDown(k)
 	}
-	e.slots = append(e.slots, eslot{fn: fn, arg: arg})
-	e.pos = append(e.pos, posFree)
-	return int32(len(e.slots) - 1)
 }
 
-// release returns a slot to the free list, dropping fn/arg for the GC.
-func (e *Engine) release(s int32) {
-	e.slots[s] = eslot{}
-	e.pos[s] = posFree
-	e.free = append(e.free, s)
-}
-
-// fifoPush appends a slot to the same-instant ring.
-func (e *Engine) fifoPush(seq uint64, slot int32) {
-	if e.fifoLen == len(e.fifo) {
-		e.fifoGrow()
-	}
-	e.fifo[(e.fifoHead+e.fifoLen)&(len(e.fifo)-1)] = fent{seq: seq, slot: slot}
-	e.fifoLen++
-	e.pos[slot] = posFIFO
-}
-
-// fifoGrow doubles the ring, unwrapping it into the new backing array.
-func (e *Engine) fifoGrow() {
-	n := len(e.fifo) * 2
-	if n == 0 {
-		n = 64
-	}
-	nf := make([]fent, n)
-	for i := 0; i < e.fifoLen; i++ {
-		nf[i] = e.fifo[(e.fifoHead+i)&(len(e.fifo)-1)]
-	}
-	e.fifo = nf
-	e.fifoHead = 0
-}
-
-// schedule places (fn, arg) at absolute time t and returns its slot id.
-func (e *Engine) schedule(t Time, fn EventFunc, arg any) int32 {
+// schedule places (fn, arg) at absolute time t under a fresh sequence
+// number.
+func (e *Engine) schedule(t Time, fn EventFunc, arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	s := e.alloc(fn, arg)
-	if t == e.now {
-		// Same-instant: the FIFO drains before the clock advances, so all
-		// live entries share at == now and insertion order is seq order.
-		e.fifoAt = t
-		e.fifoPush(e.seq, s)
-		return s
-	}
-	e.nodes = append(e.nodes, node{at: t, seq: e.seq, slot: s})
-	e.siftUp(len(e.nodes) - 1)
-	return s
+	e.insert(e.newNode(t, e.seq, fn, arg), t, e.seq)
 }
 
 // scheduleSeq places (fn, arg) at time t under an explicit sequence number —
 // the Waker's stale-slot adoption path (see waker.go). A fresh sequence
 // number is still consumed, exactly as a plain push would, so every other
-// event's numbering is unaffected. The node always enters the heap: an
-// adopted (old, small) sequence number would violate the FIFO's
-// insertion-order invariant, and the pop merge handles an at==now heap node
-// correctly.
-func (e *Engine) scheduleSeq(t Time, seq uint64, fn EventFunc, arg any) (int32, uint64) {
+// event's numbering is unaffected; it is returned.
+func (e *Engine) scheduleSeq(t Time, seq uint64, fn EventFunc, arg any) uint64 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	fresh := e.seq
-	s := e.alloc(fn, arg)
-	e.nodes = append(e.nodes, node{at: t, seq: seq, slot: s})
-	e.siftUp(len(e.nodes) - 1)
-	return s, fresh
+	e.insert(e.newNode(t, seq, fn, arg), t, seq)
+	return e.seq
 }
 
-// reschedule moves a live slot to an earlier-or-equal time t — the
-// decrease-key behind Waker coalescing. seq is the sequence number the moved
-// event assumes; a fresh one is consumed regardless (callers pass either the
-// fresh number, via freshSeq semantics, or an adopted stale one). The slot
-// must be heap-resident; same-instant FIFO entries are never rescheduled
-// (nothing can be earlier than now).
-func (e *Engine) reschedule(s int32, t Time, seq uint64) uint64 {
+// reschedule moves the pending event keyed (at, seq) to time t under
+// sequence number newSeq — the decrease-key behind Waker coalescing. A
+// fresh sequence number is consumed regardless and returned; newSeq ==
+// useFreshSeq asks for the event to take it.
+func (e *Engine) reschedule(at Time, seq uint64, t Time, newSeq uint64) uint64 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: rescheduling event to %v before now %v", t, e.now))
 	}
-	i := e.pos[s]
-	if i < 0 {
-		panic("sim: reschedule of a non-heap event")
-	}
 	e.seq++
-	fresh := e.seq
-	if seq == useFreshSeq {
-		seq = fresh
+	if newSeq == useFreshSeq {
+		newSeq = e.seq
 	}
-	if t == e.now && seq == fresh {
-		// Move heap -> FIFO: remove node i, then enqueue at the tail (the
-		// fresh seq is the largest live one, so FIFO order is preserved).
-		e.heapRemove(int(i))
-		e.fifoAt = t
-		e.fifoPush(seq, s)
-		return fresh
-	}
-	// The new key is strictly smaller than the old one — t < the node's
-	// current time (an equal-or-later request is absorbed by the caller), and
-	// the FIFO path above covers the only same-instant case — so the node can
-	// only move toward the root.
-	e.nodes[i].at = t
-	e.nodes[i].seq = seq
-	e.siftUp(int(i))
-	return fresh
+	i := e.remove(at, seq)
+	e.nodes[i].at, e.nodes[i].seq = t, newSeq
+	e.insert(i, t, newSeq)
+	return e.seq
 }
 
 // useFreshSeq asks reschedule to use the freshly consumed sequence number.
 const useFreshSeq = ^uint64(0)
 
-// heapRemove deletes the node at index i, preserving the heap invariant.
-func (e *Engine) heapRemove(i int) {
-	h := e.nodes
-	n := len(h) - 1
-	if i != n {
-		h[i] = h[n]
-		e.pos[h[i].slot] = int32(i)
+// popNext removes the earliest event, if its time is at most limit, and
+// returns its node, which the caller frees; 0 means no event is due. The
+// wheel's first node and the far heap's root are each their structure's
+// least key, so the lesser of the two is the least pending key.
+func (e *Engine) popNext(limit Time) int32 {
+	if e.n == len(e.far) {
+		return e.popFar(limit)
 	}
-	e.nodes = h[:n]
-	if i < n {
-		e.siftUp(i)
-		e.siftDown(int(e.pos[h[i].slot]))
+	b := e.firstBucket()
+	i := e.head[b]
+	if len(e.far) > 0 && e.less(e.far[0], i) {
+		return e.popFar(limit)
 	}
+	nd := &e.nodes[i]
+	if nd.at > limit {
+		return 0
+	}
+	e.n--
+	nx := nd.next
+	e.head[b] = nx
+	if nx == 0 {
+		e.tail[b] = 0
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+	return i
 }
 
-// popRoot deletes the heap's root: the last node takes its place and sifts
-// down.
-func (e *Engine) popRoot() {
-	n := len(e.nodes) - 1
-	e.nodes[0] = e.nodes[n]
-	e.nodes = e.nodes[:n]
-	if n > 0 {
-		e.siftDown(0)
+// popFar removes the far heap's root if the heap has one due by limit.
+func (e *Engine) popFar(limit Time) int32 {
+	if len(e.far) == 0 || e.nodes[e.far[0]].at > limit {
+		return 0
 	}
-}
-
-// popNext removes the earliest event and returns its time, callback and
-// argument. The FIFO and the heap are merged by (at, seq): heap nodes at the
-// FIFO's instant always carry smaller sequence numbers (they were scheduled
-// before the clock reached it), so the comparison is exact, not heuristic.
-func (e *Engine) popNext() (Time, EventFunc, any, bool) {
-	var at Time
-	var s int32
-	if e.fifoLen > 0 && (len(e.nodes) == 0 ||
-		!nodeLess(&e.nodes[0], &node{at: e.fifoAt, seq: e.fifo[e.fifoHead].seq})) {
-		at, s = e.fifoAt, e.fifo[e.fifoHead].slot
-		e.fifoHead = (e.fifoHead + 1) & (len(e.fifo) - 1)
-		e.fifoLen--
-	} else if len(e.nodes) == 0 {
-		return 0, nil, nil, false
-	} else {
-		nd := e.nodes[0]
-		if nd.lane {
-			fn, arg := e.slots[nd.slot].arg.(*Lane).pop()
-			return nd.at, fn, arg, true
-		}
-		e.popRoot()
-		at, s = nd.at, nd.slot
-	}
-	fn, arg := e.slots[s].fn, e.slots[s].arg
-	e.release(s)
-	return at, fn, arg, true
-}
-
-// peekAt reports the earliest pending timestamp.
-func (e *Engine) peekAt() (Time, bool) {
-	switch {
-	case e.fifoLen > 0 && len(e.nodes) > 0:
-		if e.nodes[0].at < e.fifoAt {
-			return e.nodes[0].at, true
-		}
-		return e.fifoAt, true
-	case e.fifoLen > 0:
-		return e.fifoAt, true
-	case len(e.nodes) > 0:
-		return e.nodes[0].at, true
-	}
-	return 0, false
+	i := e.far[0]
+	e.n--
+	e.farRemove(0)
+	return i
 }
 
 // AtFunc schedules fn(arg) at absolute time t. This is the allocation-free
@@ -463,12 +443,21 @@ func (e *Engine) SetEventHook(every uint64, fn func()) {
 
 // Step executes the earliest pending event. It reports false if no events
 // remain.
-func (e *Engine) Step() bool {
-	at, fn, arg, ok := e.popNext()
-	if !ok {
+func (e *Engine) Step() bool { return e.step(maxTime) }
+
+// step executes the earliest pending event if its time is at most limit.
+// The node goes back to the free list before its callback runs, so an
+// event the callback schedules reuses it while it is still in cache.
+func (e *Engine) step(limit Time) bool {
+	i := e.popNext(limit)
+	if i == 0 {
 		return false
 	}
-	e.now = at
+	nd := &e.nodes[i]
+	fn, arg := nd.fn, nd.arg
+	e.now = nd.at
+	nd.next, nd.fn, nd.arg = e.free, nil, nil
+	e.free = i
 	e.nRun++
 	fn(arg)
 	if e.hook != nil {
@@ -490,12 +479,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	for {
-		at, ok := e.peekAt()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
+	for e.step(t) {
 	}
 	if t > e.now {
 		e.now = t

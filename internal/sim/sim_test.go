@@ -55,6 +55,20 @@ func TestEngineOrdering(t *testing.T) {
 	}
 }
 
+// TestZeroEngineUsable pins the Engine doc comment's promise: a zero value
+// schedules and dispatches without New, near and past the horizon.
+func TestZeroEngineUsable(t *testing.T) {
+	var e Engine
+	var got []Time
+	fn := func(any) { got = append(got, e.Now()) }
+	e.AtFunc(3*Microsecond, fn, nil)
+	e.AtFunc(5, fn, nil)
+	e.Run()
+	if len(got) != 2 || got[0] != 5 || got[1] != 3*Microsecond {
+		t.Fatalf("dispatched at %v, want [5 3µs]", got)
+	}
+}
+
 func TestEngineSameInstantFIFO(t *testing.T) {
 	e := New()
 	var order []int

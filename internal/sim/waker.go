@@ -6,15 +6,17 @@ import "math/rand/v2"
 // whenever its inputs change. Multiple Wake calls for the same instant (or
 // while a wake is already pending at an earlier-or-equal time) collapse into
 // a single callback invocation, which keeps hot components (the memory
-// controller scheduler, the CHA admission stage) from flooding the event heap.
+// controller scheduler, the CHA admission stage) from flooding the event set.
 //
-// A waker owns at most one live event. An earlier request reschedules that
-// event in place (the engine's decrease-key) instead of pushing a
-// superseding duplicate, so no stale no-op events ever reach dispatch.
+// A waker owns at most one live event, which it finds by its key
+// (pendingAt, seq). An earlier request moves that event (the engine's
+// decrease-key: remove the event keyed (pendingAt, seq), insert it under
+// its new key) instead of pushing a superseding duplicate, so no stale
+// no-op events ever reach dispatch.
 //
 // # Stale-slot adoption
 //
-// An older implementation left the superseded event in the heap as a no-op,
+// An older implementation left the superseded event pending as a no-op,
 // and that accident was output-visible: if the waker was later re-armed for
 // exactly the stale event's timestamp, the stale event popped first within
 // that instant (its sequence number was older) and fired the callback at
@@ -38,7 +40,6 @@ type Waker struct {
 	fn        func()
 	pendingAt Time
 	pending   bool
-	slot      int32
 	seq       uint64 // sequence number of the live event
 
 	stale []staleGroup // record groups, ascending by at
@@ -165,30 +166,28 @@ func (w *Waker) WakeAt(t Time) {
 		if w.pendingAt <= t {
 			return
 		}
-		// pendingAt > t >= now implies the live event sits in the heap (the
-		// same-instant FIFO only ever holds events at now), so decrease-key
-		// applies. The superseded position becomes a stale record.
-		w.record(w.pendingAt, w.seq)
+		// Decrease-key: the superseded position becomes a stale record.
+		at, seq := w.pendingAt, w.seq
+		w.record(at, seq)
 		w.pendingAt = t
 		if old, ok := w.adopt(t); ok {
-			fresh := w.eng.reschedule(w.slot, t, old)
+			fresh := w.eng.reschedule(at, seq, t, old)
 			w.record(t, fresh)
 			w.seq = old
 		} else {
-			w.seq = w.eng.reschedule(w.slot, t, useFreshSeq)
+			w.seq = w.eng.reschedule(at, seq, t, useFreshSeq)
 		}
 		return
 	}
 	w.pending = true
 	w.pendingAt = t
 	if old, ok := w.adopt(t); ok {
-		slot, fresh := w.eng.scheduleSeq(t, old, wakerFire, w)
-		w.slot = slot
+		fresh := w.eng.scheduleSeq(t, old, wakerFire, w)
 		w.seq = old
 		w.record(t, fresh)
 		return
 	}
-	w.slot = w.eng.schedule(t, wakerFire, w)
+	w.eng.schedule(t, wakerFire, w)
 	w.seq = w.eng.seq
 }
 

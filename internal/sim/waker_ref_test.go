@@ -11,7 +11,6 @@ type flatWaker struct {
 	fn                 func()
 	pendingAt          Time
 	pending            bool
-	slot               int32
 	seq                uint64
 	stale              []staleRec
 	staleMin, staleMax Time
@@ -91,27 +90,27 @@ func (w *flatWaker) WakeAt(t Time) {
 		if w.pendingAt <= t {
 			return
 		}
-		w.record(w.pendingAt, w.seq)
+		at, seq := w.pendingAt, w.seq
+		w.record(at, seq)
 		w.pendingAt = t
 		if old, ok := w.adopt(t); ok {
-			fresh := w.eng.reschedule(w.slot, t, old)
+			fresh := w.eng.reschedule(at, seq, t, old)
 			w.record(t, fresh)
 			w.seq = old
 		} else {
-			w.seq = w.eng.reschedule(w.slot, t, useFreshSeq)
+			w.seq = w.eng.reschedule(at, seq, t, useFreshSeq)
 		}
 		return
 	}
 	w.pending = true
 	w.pendingAt = t
 	if old, ok := w.adopt(t); ok {
-		slot, fresh := w.eng.scheduleSeq(t, old, flatWakerFire, w)
-		w.slot = slot
+		fresh := w.eng.scheduleSeq(t, old, flatWakerFire, w)
 		w.seq = old
 		w.record(t, fresh)
 		return
 	}
-	w.slot = w.eng.schedule(t, flatWakerFire, w)
+	w.eng.schedule(t, flatWakerFire, w)
 	w.seq = w.eng.seq
 }
 
@@ -126,14 +125,28 @@ type dispatch struct {
 	label int
 }
 
-// runWakerScript drives three wakers, foreign events (on the heap and on a
-// lane) and Steps from one script of random words, and returns every
-// dispatch's (time, label). A waker's callback reads the script too: it
-// often re-arms itself, at the same instant or a few picoseconds on, which
-// builds the same-instant re-arm chains where adoption shows.
+// scriptDelay returns near, a few picoseconds, for most script words: that
+// builds the same-instant re-arm chains where adoption shows. The rest add
+// a few buckets, about one horizon or several laps, so a re-arm moves a
+// waker's event between buckets and out of the far heap.
+func scriptDelay(v uint32, near Time) Time {
+	switch v >> 24 % 8 {
+	case 5:
+		return near + Time(1+v>>8%4)<<bucketShift
+	case 6:
+		return near + horizon + (Time(v>>8%4)-2)<<bucketShift
+	case 7:
+		return near + Time(1+v>>8%3)*horizon
+	}
+	return near
+}
+
+// runWakerScript drives three wakers, foreign events and Steps from one
+// script of random words, and returns every dispatch's (time, label). A
+// waker's callback reads the script too: it often re-arms itself, at the
+// same instant or a little later.
 func runWakerScript(script []uint32, newWaker func(*Engine, func()) waker) []dispatch {
 	e := New()
-	lane := e.NewLane()
 	var log []dispatch
 	pos := 0
 	next := func() (uint32, bool) {
@@ -149,7 +162,7 @@ func runWakerScript(script []uint32, newWaker func(*Engine, func()) waker) []dis
 		ws[k] = newWaker(e, func() {
 			log = append(log, dispatch{e.Now(), k})
 			if v, ok := next(); ok && v%3 != 0 {
-				ws[k].WakeAt(e.Now() + Time(v/3%4))
+				ws[k].WakeAt(e.Now() + scriptDelay(v, Time(v/3%4)))
 			}
 		})
 	}
@@ -160,7 +173,7 @@ func runWakerScript(script []uint32, newWaker func(*Engine, func()) waker) []dis
 		if !ok {
 			break
 		}
-		d := Time(v / 16 % 8)
+		d := scriptDelay(v, Time(v/16%8))
 		switch v % 8 {
 		case 0, 1, 2:
 			ws[v/128%3].WakeAt(e.Now() + d)
@@ -171,7 +184,7 @@ func runWakerScript(script []uint32, newWaker func(*Engine, func()) waker) []dis
 			e.AtFunc(e.Now()+d, foreign, labels)
 		case 5:
 			labels++
-			lane.After(d, foreign, labels)
+			e.AfterFunc(d, foreign, labels)
 		default:
 			e.Step()
 		}
