@@ -97,7 +97,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	hosts := fs.Int("hosts", 0, "rack size for the incast experiment (default 4)")
 	partitioned := fs.Bool("partitioned", false, "run incast racks as a conservative-parallel DES (per-host engines, ToR-lookahead rounds; no fault injection)")
-	fabricWorkers := fs.Int("fabric-workers", 0, "goroutines stepping a partitioned rack's hosts (<= 1 = serial rounds; results are byte-identical at any value)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write allocation profile to `file` at exit")
 	traceOut := fs.String("trace", "", "write runtime execution trace to `file`")
@@ -232,7 +231,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *auditOn {
 		opt.Audit = true
 	}
-	opt.FabricWorkers = *fabricWorkers
 	// One run cache per invocation: `all` simulates each shared baseline
 	// once across the names it renders.
 	opt.Runs = exp.NewRunCache()

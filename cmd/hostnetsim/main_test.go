@@ -71,6 +71,12 @@ func TestGoldenVariants(t *testing.T) {
 		"incast_csv.golden":   {"-csv", "incast"},
 		"fig3_faults.golden":  {"-faults", throttleFaults, "fig3"},
 		"fig18_faults.golden": {"-faults", stormFaults, "fig18"},
+		// The partitioned rack at windows long enough for both PFC
+		// directions to fire at every degree: the switch pauses senders'
+		// TX and the loaded receiver pauses the switch egress, so every
+		// cross-partition message kind shapes these bytes.
+		"incast_partitioned.golden": {"-format", "json", "-hosts", "4", "-partitioned",
+			"-warmup", "10us", "-window", "30us", "incast"},
 	} {
 		out, errOut, code := runCLI(t, args...)
 		if code != 0 {

@@ -43,8 +43,8 @@ func main() {
 	domains := hostnet.CascadeLakeDomains()
 	read := hostnet.Measurement{
 		Kind: hostnet.C2MRead, AvgLatencyNanos: coLat,
-		AvgCreditsInUse: h.Cores[0].Stats().LFBOcc.Avg(),
-		MaxCreditsInUse: h.Cores[0].Stats().LFBOcc.Max(),
+		AvgCreditsInUse: h.Cores[0].Stats().LFBLat.Occ.Avg(),
+		MaxCreditsInUse: h.Cores[0].Stats().LFBLat.Occ.Max(),
 		Throughput:      coBW,
 	}
 	readIso := hostnet.Measurement{Kind: hostnet.C2MRead, AvgLatencyNanos: isoLat}

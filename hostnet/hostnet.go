@@ -84,8 +84,7 @@ type (
 	// single-host determinism guarantees).
 	Fabric = fabric.Fabric
 	// ParallelFabric is the conservative-parallel rack: every host on a
-	// private engine, advanced in ToR-lookahead rounds, byte-identical at
-	// any worker count.
+	// private engine, advanced in ToR-lookahead rounds.
 	ParallelFabric = fabric.Parallel
 	// FabricConfig describes a rack (hosts, per-host config, NIC, ToR).
 	FabricConfig = fabric.Config
@@ -222,12 +221,9 @@ func RenderDCTCP(w io.Writer, read, rw []exp.DCTCPPoint)               { exp.Ren
 // NewFabric assembles a rack of hosts behind a ToR switch on one engine.
 func NewFabric(cfg FabricConfig) *Fabric { return fabric.New(cfg) }
 
-// NewParallelFabric assembles a partitioned rack advanced by `workers`
-// goroutines in conservative lookahead rounds. The configuration must be
-// fault-free; results are byte-identical at any worker count.
-func NewParallelFabric(cfg FabricConfig, workers int) *ParallelFabric {
-	return fabric.NewParallel(cfg, workers)
-}
+// NewParallelFabric assembles a partitioned rack advanced in conservative
+// lookahead rounds. The configuration must be fault-free.
+func NewParallelFabric(cfg FabricConfig) *ParallelFabric { return fabric.NewParallel(cfg) }
 
 // DefaultFabricConfig returns a Cascade Lake rack of `hosts` hosts on a
 // 100 Gbps ToR.

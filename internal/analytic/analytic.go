@@ -44,7 +44,7 @@ func FromStats(mc *dram.Stats, ch *cha.Stats, t dram.Timing, channels int) Input
 		Switches:     float64(mc.Switches.Count()),
 		LinesRead:    float64(mc.LinesRead()),
 		LinesWritten: float64(mc.LinesWritten()),
-		ORPQ:         mc.RPQOcc.Avg() / float64(channels),
+		ORPQ:         mc.ReadLat.Occ.Avg() / float64(channels),
 		ACTRead:      float64(mc.C2MRead.ACTs.Count() + mc.P2MRead.ACTs.Count()),
 		ACTWrite:     float64(mc.C2MWrite.ACTs.Count() + mc.P2MWrite.ACTs.Count()),
 		PREConfRead:  float64(mc.C2MRead.PREConflict.Count() + mc.P2MRead.PREConflict.Count()),

@@ -83,9 +83,6 @@ type Stats struct {
 	// AdmitLat measures ingress queueing: Submit -> admission. This is the
 	// "CHA admission delay" the paper adds to its formula for quadrant 3.
 	AdmitLat *telemetry.Latency
-	// ReadEntriesOcc / WriteEntriesOcc track pool usage.
-	ReadEntriesOcc  *telemetry.Integrator
-	WriteEntriesOcc *telemetry.Integrator
 	// WBacklog is the analytic model's N_waiting: admitted writes awaiting
 	// WPQ admission.
 	WBacklog *telemetry.Integrator
@@ -110,8 +107,6 @@ type Stats struct {
 // Reset starts a new measurement window.
 func (s *Stats) Reset() {
 	s.AdmitLat.Reset()
-	s.ReadEntriesOcc.Reset()
-	s.WriteEntriesOcc.Reset()
 	s.WBacklog.Reset()
 	for i := range s.ReadMCLat {
 		s.ReadMCLat[i].Reset()
@@ -201,8 +196,6 @@ func New(eng *sim.Engine, cfg Config, mc *dram.Controller, ddio *cache.DDIO) *CH
 		rng:  sim.RNG(cfg.Seed ^ 0xc4a),
 		stats: &Stats{
 			AdmitLat:         telemetry.NewLatency(eng),
-			ReadEntriesOcc:   telemetry.NewIntegrator(eng),
-			WriteEntriesOcc:  telemetry.NewIntegrator(eng),
 			WBacklog:         telemetry.NewIntegrator(eng),
 			P2MReadsInflight: telemetry.NewIntegrator(eng),
 			RPQBlockLat:      telemetry.NewLatency(eng),
@@ -230,8 +223,6 @@ func New(eng *sim.Engine, cfg Config, mc *dram.Controller, ddio *cache.DDIO) *CH
 		}
 		aud.Pool(domain, "read_entries", cfg.ReadEntries, func() int { return cfg.ReadEntries - c.readInUse })
 		aud.Pool(domain, "write_entries", cfg.WriteEntries, func() int { return cfg.WriteEntries - c.writeInUse })
-		aud.Gauge(domain, "read_entries_occ", c.stats.ReadEntriesOcc, func() int { return c.readInUse })
-		aud.Gauge(domain, "write_entries_occ", c.stats.WriteEntriesOcc, func() int { return c.writeInUse })
 		aud.Gauge(domain, "wbacklog", c.stats.WBacklog, func() int { return c.wBacklogN })
 		aud.Latency(domain, "admit_lat", c.stats.AdmitLat)
 		aud.Latency(domain, "read_mc_lat_c2m", c.stats.ReadMCLat[0])
@@ -300,13 +291,11 @@ func (c *CHA) tryAdmit() {
 		r.TCHAAdmit = c.eng.Now()
 		if r.Kind == mem.Read {
 			c.readInUse++
-			c.stats.ReadEntriesOcc.Add(1)
 			if r.Source == mem.P2M {
 				c.stats.P2MReadsInflight.Add(1)
 			}
 		} else {
 			c.writeInUse++
-			c.stats.WriteEntriesOcc.Add(1)
 			c.stats.WriteMCLat[r.Source].Enter()
 			if r.Source == mem.C2M && r.Done != nil {
 				// C2M-Write domain ends here: the LFB credit is replenished
@@ -321,7 +310,6 @@ func (c *CHA) tryAdmit() {
 
 func (c *CHA) freeRead(r *mem.Request) {
 	c.readInUse--
-	c.stats.ReadEntriesOcc.Add(-1)
 	if r.Source == mem.P2M {
 		c.stats.P2MReadsInflight.Add(-1)
 	}
@@ -331,7 +319,6 @@ func (c *CHA) freeRead(r *mem.Request) {
 
 func (c *CHA) freeWrite() {
 	c.writeInUse--
-	c.stats.WriteEntriesOcc.Add(-1)
 	c.tryAdmit()
 }
 
@@ -425,7 +412,6 @@ func (c *CHA) drainDirectoryReads() {
 	for c.dirPending.n > 0 && c.readInUse < c.cfg.ReadEntries {
 		r := c.dirPending.pop()
 		c.readInUse++
-		c.stats.ReadEntriesOcc.Add(1)
 		c.stats.P2MReadsInflight.Add(1)
 		c.dispatch(r)
 	}

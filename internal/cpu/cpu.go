@@ -63,31 +63,25 @@ func DefaultConfig() Config {
 
 // Stats exposes per-core probes.
 type Stats struct {
-	// LFBOcc tracks entries in use; its maximum recovers the credit count
-	// (the paper measures 10-12).
-	LFBOcc *telemetry.Integrator
 	// LFBLat is the paper's "LFB latency": credit allocation to
-	// replenishment, across reads and writes (Fig 6a/6b).
+	// replenishment, across reads and writes (Fig 6a/6b). Its Occ tracks
+	// entries in use, whose maximum recovers the credit count (the paper
+	// measures 10-12).
 	LFBLat *telemetry.Latency
 	// ReadLat/WriteLat split LFB latency by kind.
 	ReadLat  *telemetry.Latency
 	WriteLat *telemetry.Latency
 	// LinesRead/LinesWritten count completed accesses.
 	LinesRead, LinesWritten *telemetry.Counter
-	// ReadTail records per-read completion latencies for percentile views
-	// (the production studies behind the paper report tail inflation).
-	ReadTail *telemetry.Histogram
 }
 
 // Reset starts a new measurement window.
 func (s *Stats) Reset() {
-	s.LFBOcc.Reset()
 	s.LFBLat.Reset()
 	s.ReadLat.Reset()
 	s.WriteLat.Reset()
 	s.LinesRead.Reset()
 	s.LinesWritten.Reset()
-	s.ReadTail.Reset()
 }
 
 // ReadBytesPerSec reports the core's completed C2M read bandwidth.
@@ -128,29 +122,28 @@ type Core struct {
 
 // completeArg carries a prefetch-hit completion through the engine.
 type completeArg struct {
-	c       *Core
-	acc     Access
-	allocAt sim.Time
+	c   *Core
+	acc Access
 }
 
 // completeEvent dispatches a pooled completion: the arg returns to the pool
 // before the completion runs, so back-to-back hits reuse one allocation.
 func completeEvent(arg any) {
 	a := arg.(*completeArg)
-	c, acc, at := a.c, a.acc, a.allocAt
+	c, acc := a.c, a.acc
 	a.c = nil
 	c.completeFree = append(c.completeFree, a)
-	c.complete(acc, at)
+	c.complete(acc)
 }
 
-func (c *Core) newCompleteArg(acc Access, allocAt sim.Time) *completeArg {
+func (c *Core) newCompleteArg(acc Access) *completeArg {
 	if n := len(c.completeFree); n > 0 {
 		a := c.completeFree[n-1]
 		c.completeFree = c.completeFree[:n-1]
-		a.c, a.acc, a.allocAt = c, acc, allocAt
+		a.c, a.acc = c, acc
 		return a
 	}
-	return &completeArg{c: c, acc: acc, allocAt: allocAt}
+	return &completeArg{c: c, acc: acc}
 }
 
 func (c *Core) submitEvent(arg any) { c.cha.Submit(arg.(*mem.Request)) }
@@ -169,13 +162,11 @@ func New(eng *sim.Engine, cfg Config, index int, c mem.Submitter, gen Generator)
 		index: index,
 		free:  cfg.LFBEntries,
 		stats: &Stats{
-			LFBOcc:       telemetry.NewIntegrator(eng),
 			LFBLat:       telemetry.NewLatency(eng),
 			ReadLat:      telemetry.NewLatency(eng),
 			WriteLat:     telemetry.NewLatency(eng),
 			LinesRead:    telemetry.NewCounter(eng),
 			LinesWritten: telemetry.NewCounter(eng),
-			ReadTail:     telemetry.NewHistogram(),
 		},
 	}
 	if cfg.Prefetch != nil {
@@ -190,7 +181,7 @@ func New(eng *sim.Engine, cfg Config, index int, c mem.Submitter, gen Generator)
 	if aud := cfg.Audit; aud.Enabled() {
 		domain := fmt.Sprintf("cpu/core%d", index)
 		aud.Pool(domain, "lfb", cfg.LFBEntries, func() int { return core.free })
-		aud.Gauge(domain, "lfb_occ", core.stats.LFBOcc, func() int { return cfg.LFBEntries - core.free })
+		aud.Gauge(domain, "lfb_occ", core.stats.LFBLat.Occ, func() int { return cfg.LFBEntries - core.free })
 		aud.Latency(domain, "lfb_lat", core.stats.LFBLat)
 	}
 	return core
@@ -229,7 +220,6 @@ func (c *Core) issue(acc Access) {
 	now := c.eng.Now()
 	c.free--
 	c.nextIssueAt = now + c.cfg.IssueGap
-	c.stats.LFBOcc.Add(1)
 	c.stats.LFBLat.Enter()
 	if acc.Kind == mem.Read {
 		c.stats.ReadLat.Enter()
@@ -242,7 +232,7 @@ func (c *Core) issue(acc Access) {
 		switch state {
 		case pfReady:
 			// L2 hit on prefetched data: no memory request.
-			c.eng.AfterFunc(c.pf.HitLatency, completeEvent, c.newCompleteArg(acc, now))
+			c.eng.AfterFunc(c.pf.HitLatency, completeEvent, c.newCompleteArg(acc))
 			return
 		case pfInflight:
 			// The prefetch is already fetching this line; piggyback on it.
@@ -269,7 +259,7 @@ func (c *Core) send(a mem.Addr, k mem.Kind, done func(*mem.Request)) {
 
 // demandDone completes a demand access: its LFB credit is replenished.
 func (c *Core) demandDone(r *mem.Request) {
-	c.complete(Access{Addr: r.Addr, Kind: r.Kind}, r.TAlloc)
+	c.complete(Access{Addr: r.Addr, Kind: r.Kind})
 }
 
 // prefetchDone lands a prefetched line and completes the demand reads that
@@ -280,7 +270,7 @@ func (c *Core) prefetchDone(r *mem.Request) {
 	if waiters, ok := c.pfWait[a]; ok {
 		delete(c.pfWait, a)
 		for _, acc := range waiters {
-			c.complete(acc, r.TAlloc)
+			c.complete(acc)
 		}
 		c.waitFree = append(c.waitFree, waiters[:0])
 	}
@@ -297,14 +287,12 @@ func (c *Core) train(a mem.Addr) {
 // LFB entry, and generates the same C2M memory traffic a demand read would.
 func (c *Core) issuePrefetch(a mem.Addr) { c.send(a, mem.Read, c.prefetchFn) }
 
-func (c *Core) complete(acc Access, allocAt sim.Time) {
+func (c *Core) complete(acc Access) {
 	c.free++
-	c.stats.LFBOcc.Add(-1)
 	c.stats.LFBLat.Exit()
 	if acc.Kind == mem.Read {
 		c.stats.ReadLat.Exit()
 		c.stats.LinesRead.Inc()
-		c.stats.ReadTail.ObserveNs((c.eng.Now() - allocAt).Nanoseconds())
 	} else {
 		c.stats.WriteLat.Exit()
 		c.stats.LinesWritten.Inc()

@@ -89,10 +89,10 @@ func TestLFBCreditLimit(t *testing.T) {
 	c := New(eng, cfg, 0, ch, gen)
 	c.Start(0)
 	eng.Run()
-	if max := c.Stats().LFBOcc.Max(); max != 5 {
+	if max := c.Stats().LFBLat.Occ.Max(); max != 5 {
 		t.Fatalf("LFB occupancy max = %d, want 5", max)
 	}
-	if c.Stats().LFBOcc.Level() != 0 {
+	if c.Stats().LFBLat.Occ.Level() != 0 {
 		t.Fatalf("LFB did not drain")
 	}
 }
@@ -107,7 +107,7 @@ func TestMemoryBoundCoreSaturatesCredits(t *testing.T) {
 	c.Start(0)
 	eng.RunUntil(20 * sim.Microsecond)
 	// §5.1: a memory-bound core keeps essentially all credits in flight.
-	if avg := c.Stats().LFBOcc.Avg(); avg < 11 {
+	if avg := c.Stats().LFBLat.Occ.Avg(); avg < 11 {
 		t.Fatalf("average LFB occupancy %.1f, want ~12 (fully utilized)", avg)
 	}
 }
@@ -119,7 +119,7 @@ func TestComputeBoundCoreLeavesCreditsIdle(t *testing.T) {
 	c.Start(0)
 	eng.Run()
 	// One access per 500ns with ~80ns latency: occupancy stays low.
-	if avg := c.Stats().LFBOcc.Avg(); avg > 1 {
+	if avg := c.Stats().LFBLat.Occ.Avg(); avg > 1 {
 		t.Fatalf("compute-bound occupancy %.2f, want < 1", avg)
 	}
 	if gen.count != 50 {

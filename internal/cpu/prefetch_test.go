@@ -153,8 +153,8 @@ func TestPrefetchInflightPiggyback(t *testing.T) {
 	if got := c.Stats().LinesRead.Count(); got != 500 {
 		t.Fatalf("completed %d of 500 with piggybacking", got)
 	}
-	if c.Stats().LFBOcc.Level() != 0 {
-		t.Fatalf("LFB leak: %d entries still held", c.Stats().LFBOcc.Level())
+	if c.Stats().LFBLat.Occ.Level() != 0 {
+		t.Fatalf("LFB leak: %d entries still held", c.Stats().LFBLat.Occ.Level())
 	}
 }
 

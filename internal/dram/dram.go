@@ -172,11 +172,11 @@ func (k *KindStats) reset() {
 // Stats exposes the controller's uncore-counter analogues, aggregated across
 // channels.
 type Stats struct {
-	RPQOcc   *telemetry.Integrator // total pending reads across channels
 	WPQOcc   *telemetry.Integrator
 	WPQFull  *telemetry.FracTimer // any channel's WPQ at capacity
 	Switches *telemetry.Counter   // read<->write mode transitions (all channels)
-	// ReadLat measures TMCEnq -> burst completion via Little's law.
+	// ReadLat measures TMCEnq -> burst completion via Little's law. Its Occ
+	// is the total of pending reads across channels (the RPQ occupancy).
 	ReadLat *telemetry.Latency
 	// Per (source, kind) row-buffer outcome counters.
 	C2MRead, C2MWrite, P2MRead, P2MWrite *KindStats
@@ -200,7 +200,6 @@ func (s *Stats) kindStats(src mem.Source, k mem.Kind) *KindStats {
 
 // Reset starts a new measurement window on every probe.
 func (s *Stats) Reset() {
-	s.RPQOcc.Reset()
 	s.WPQOcc.Reset()
 	s.WPQFull.Reset()
 	s.Switches.Reset()
@@ -279,7 +278,6 @@ func New(eng *sim.Engine, cfg Config, mapper *mem.Mapper, client Client) *Contro
 		mapper: mapper,
 		client: client,
 		stats: &Stats{
-			RPQOcc:        telemetry.NewIntegrator(eng),
 			WPQOcc:        telemetry.NewIntegrator(eng),
 			WPQFull:       telemetry.NewFracTimer(eng),
 			Switches:      telemetry.NewCounter(eng),
@@ -329,7 +327,7 @@ func New(eng *sim.Engine, cfg Config, mapper *mem.Mapper, client Client) *Contro
 				return true, ""
 			})
 		}
-		aud.Gauge(domain, "rpq_occ", c.stats.RPQOcc, func() int {
+		aud.Gauge(domain, "rpq_occ", c.stats.ReadLat.Occ, func() int {
 			n := 0
 			for _, ch := range c.chans {
 				n += ch.rdCount
@@ -423,7 +421,6 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		ch.rdCount++
-		c.stats.RPQOcc.Add(1)
 		c.stats.ReadLat.Enter()
 		ch.rdWait = append(ch.rdWait, r)
 	case mem.Write:
@@ -669,7 +666,6 @@ func (ch *channel) burstDone(r *mem.Request) {
 	switch r.Kind {
 	case mem.Read:
 		ch.rdCount--
-		c.stats.RPQOcc.Add(-1)
 		c.stats.ReadLat.Exit()
 		if c.client != nil {
 			c.client.ReadComplete(r)

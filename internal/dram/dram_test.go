@@ -376,7 +376,7 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		st := c.Stats()
-		return st.RPQOcc.Level() == 0 && st.WPQOcc.Level() == 0 &&
+		return st.ReadLat.Occ.Level() == 0 && st.WPQOcc.Level() == 0 &&
 			st.LinesRead()+st.LinesWritten() == uint64(enqueued)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -29,13 +29,6 @@ type Options struct {
 	// own host and engine, so results are bit-identical at any setting —
 	// pinned by TestParallelDeterminism*.
 	Parallelism int
-	// FabricWorkers bounds the goroutines stepping a partitioned rack's
-	// host partitions (FabricSpec.Partitioned): <= 1 advances the lookahead
-	// rounds serially. Execution-only like Parallelism: the conservative
-	// synchronizer makes partitioned results byte-identical at any worker
-	// count (pinned by TestIncastPartitionedWorkerIdentity), so this knob
-	// is not part of the spec. Ignored by shared-engine racks.
-	FabricWorkers int
 	// Audit enables the invariant auditor on every host the experiment
 	// builds, in fail-fast mode: any conservation violation panics with the
 	// domain, counter, and simulated timestamp. Auditing is observational —
@@ -166,8 +159,8 @@ func snapshot(h *host.Host) Measure {
 			lfb += st.LFBLat.AvgNanos()
 			rd += st.ReadLat.AvgNanos()
 			wr += st.WriteLat.AvgNanos()
-			if st.LFBOcc.Max() > m.LFBOccMax {
-				m.LFBOccMax = st.LFBOcc.Max()
+			if st.LFBLat.Occ.Max() > m.LFBOccMax {
+				m.LFBOccMax = st.LFBLat.Occ.Max()
 			}
 		}
 		n := float64(len(h.Cores))
@@ -181,7 +174,7 @@ func snapshot(h *host.Host) Measure {
 	m.CHAWriteLatP2M = cs.WriteMCLat[1].AvgNanos()
 	m.CHAAdmitLat = cs.AdmitLat.AvgNanos()
 	m.RPQBlockLat = cs.RPQBlockLat.AvgNanos()
-	m.RPQOcc = mc.RPQOcc.Avg()
+	m.RPQOcc = mc.ReadLat.Occ.Avg()
 	m.WPQOcc = mc.WPQOcc.Avg()
 	m.WPQFullFrac = mc.WPQFull.Frac()
 	m.IIOWriteOcc = is.WriteOcc.Avg()

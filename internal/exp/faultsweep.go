@@ -9,17 +9,6 @@ type FaultSweepPoint struct {
 	Faulted RDMAQuadrantPoint
 }
 
-// C2MExtraDegradation reports how much more the C2M side degrades under
-// faults than on healthy hardware (>= 1 means the faults made it worse).
-func (p FaultSweepPoint) C2MExtraDegradation() float64 {
-	return degradation(p.Faulted.C2MDegradation(), p.Healthy.C2MDegradation())
-}
-
-// P2MExtraDegradation is the P2M-side analogue.
-func (p FaultSweepPoint) P2MExtraDegradation() float64 {
-	return degradation(p.Faulted.P2MDegradation(), p.Healthy.P2MDegradation())
-}
-
 // FaultSweep is a Fig-3-style quadrant sweep run twice — once healthy, once
 // with the fault schedule — so the marginal cost of transient degradation is
 // read directly off the paired points.

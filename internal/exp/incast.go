@@ -46,10 +46,9 @@ type FabricSpec struct {
 	// Partitioned selects the conservative-parallel rack (fabric.NewParallel):
 	// every host on its own engine, advanced in ToR-lookahead rounds. It is a
 	// different — deterministic, but not bit-equal — discretization than the
-	// shared-engine rack, so it is a spec knob (part of the cache key), while
-	// the goroutine count driving it (Options.FabricWorkers) is execution-only:
-	// partitioned results are byte-identical at any worker count. Partitioned
-	// racks do not support fault injection; Validate rejects the combination.
+	// shared-engine rack, so it is a spec knob (part of the cache key).
+	// Partitioned racks do not support fault injection; Validate rejects the
+	// combination.
 	Partitioned bool `json:"partitioned,omitempty"`
 }
 
@@ -245,7 +244,7 @@ func runIncastPoint(fs FabricSpec, senders, recvCores int, sched fault.Schedule,
 		// the combination upstream) nor auditing (dropped here: auditing is
 		// execution-only, so ignoring it cannot change results).
 		cfg.Audit = audit.Config{}
-		pf := fabric.NewParallel(cfg, opt.FabricWorkers)
+		pf := fabric.NewParallel(cfg)
 		f, hosts, nics, sw = pf, pf.Hosts, pf.NICs, pf.Switch
 	} else {
 		sf := fabric.New(cfg)

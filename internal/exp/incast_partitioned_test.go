@@ -2,53 +2,55 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
+// partitionedIncastSpec is a 3-host partitioned rack at windows long enough
+// for both PFC directions to fire at degree 2.
 func partitionedIncastSpec() Spec {
 	return Spec{
 		Experiment: "incast",
-		Cores:      []int{2},
-		WarmupNs:   2000,
-		WindowNs:   5000,
+		Cores:      []int{4},
+		WarmupNs:   10000,
+		WindowNs:   20000,
 		Fabric:     &FabricSpec{Hosts: 3, Partitioned: true},
 	}
 }
 
-// TestIncastPartitionedWorkerIdentity pins the conservative-parallel-DES
-// guarantee end to end: a partitioned incast spec produces byte-identical
-// RunSpecJSON whether the rack's partitions advance on 1, 2, or N
-// goroutines (and at any sweep parallelism on top). This is what lets
-// FabricWorkers stay an execution-only knob outside the spec hash.
-func TestIncastPartitionedWorkerIdentity(t *testing.T) {
+// TestIncastPartitionedIdentity pins the partitioned rack's determinism end
+// to end: a partitioned incast spec produces byte-identical RunSpecJSON on a
+// repeat run and when the sweep pool runs its degrees concurrently.
+func TestIncastPartitionedIdentity(t *testing.T) {
 	spec := partitionedIncastSpec()
-	base := fastOpt(1)
-	base.FabricWorkers = 1
-	want, err := RunSpecJSON(spec, base)
+	want, err := RunSpecJSON(spec, fastOpt(1))
 	if err != nil {
-		t.Fatalf("workers=1: %v", err)
+		t.Fatal(err)
 	}
-	for _, w := range []int{2, 5} {
-		opt := fastOpt(1)
-		opt.FabricWorkers = w
-		got, err := RunSpecJSON(spec, opt)
+	for _, par := range []int{1, 4} {
+		got, err := RunSpecJSON(spec, fastOpt(par))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("parallelism %d: %v", par, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("bytes differ between 1 and %d fabric workers:\n%s\nvs\n%s", w, want, got)
+			t.Fatalf("bytes differ at parallelism %d:\n%s\nvs\n%s", par, want, got)
 		}
 	}
-	// Sweep-pool parallelism composes with the rack's worker pool.
-	opt := fastOpt(4)
-	opt.FabricWorkers = 3
-	got, err := RunSpecJSON(spec, opt)
-	if err != nil {
-		t.Fatalf("parallel sweep: %v", err)
+	// Both pause directions must fire, or the identity above never sees
+	// the pause message kinds.
+	var env struct {
+		Result IncastSweep `json:"result"`
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("bytes differ between serial and parallel sweep over partitioned racks")
+	if err := json.Unmarshal(want, &env); err != nil {
+		t.Fatal(err)
+	}
+	p := env.Result.Healthy[len(env.Result.Healthy)-1]
+	if p.MaxSenderPause() == 0 {
+		t.Fatalf("no sender was ever TX-paused; incast did not congest the ToR")
+	}
+	if p.ReceiverPauseFrac() == 0 {
+		t.Fatalf("receiver never asserted RX pause; colocated load did not back-pressure")
 	}
 }
 

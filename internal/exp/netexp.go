@@ -187,7 +187,7 @@ func RunDCTCP(readWrite bool, coreCounts []int, opt Options) []DCTCPPoint {
 		p.MemAppCo = memAppBW(co, flows)
 		for i := 0; i < flows && i < len(co.Cores); i++ {
 			st := co.Cores[i].Stats()
-			p.CopierLFBOcc += st.LFBOcc.Avg()
+			p.CopierLFBOcc += st.LFBLat.Occ.Avg()
 			p.CopierC2MBW += st.ReadBytesPerSec() + st.WriteBytesPerSec()
 		}
 		p.NetCo = rx.GoodputBytesPerSec()

@@ -357,16 +357,6 @@ func NewResultValue(experiment string) any {
 	return nil
 }
 
-// NewSpecResultValue is the fidelity-aware variant of NewResultValue: an
-// analytic-fidelity spec's payload decodes into []AnalyticPoint regardless
-// of experiment, a sim spec's into the experiment's sim result type.
-func NewSpecResultValue(s Spec) any {
-	if s.Normalized().Fidelity == FidelityAnalytic {
-		return &[]AnalyticPoint{}
-	}
-	return NewResultValue(s.Experiment)
-}
-
 // Result is the JSON envelope emitted for a completed spec: the normalized
 // spec that produced the payload, then the payload itself. Both
 // `hostnetsim -format json` and hostnetd's result endpoint emit exactly

@@ -65,24 +65,24 @@ func DefaultConfig(hosts int) Config {
 	}
 }
 
-// Fabric is an assembled rack: N hosts, their NICs, and the ToR, all on one
-// engine.
-type Fabric struct {
-	Eng     *sim.Engine
-	Cfg     Config
-	Auditor *audit.Auditor
-	Faults  *fault.Injector
-	Switch  *Switch
-	Hosts   []*host.Host
-	NICs    []*NIC
+// rack is the topology both execution modes assemble: N hosts, each with
+// its NIC, on one ToR. Fabric runs it on one engine; Parallel splits it
+// across one engine per host plus one for the switch.
+type rack struct {
+	Cfg    Config
+	Switch *Switch
+	Hosts  []*host.Host
+	NICs   []*NIC
+
+	// inTransit counts lines riding cross-partition messages, posted but not
+	// yet delivered (a conservation term). Always zero on a shared engine,
+	// where the wires' lines are counted by the NICs.
+	inTransit int64
 }
 
-// New assembles a fabric. The existing single-host layers are reused
-// unchanged: each host is built by host.NewOn on the shared engine, the
-// shared auditor namespaces each host's invariant domains, and the fault
-// injector attaches to the fault host's components plus its NIC (as both
-// fault.NIC and fault.Link) before Start schedules the windows.
-func New(cfg Config) *Fabric {
+// newRack validates cfg and fills its defaults. The switch and hosts are
+// added by the constructor, which knows their engines.
+func newRack(cfg Config) rack {
 	if cfg.Hosts < 2 {
 		panic("fabric: need at least 2 hosts")
 	}
@@ -92,102 +92,120 @@ func New(cfg Config) *Fabric {
 	if cfg.Switch.Ports < cfg.Hosts {
 		panic("fabric: switch has fewer ports than hosts")
 	}
-	fh := cfg.FaultHost
-	if fh < 0 || fh >= cfg.Hosts {
-		fh = 0
-	}
-	cfg.FaultHost = fh
+	return rack{Cfg: cfg}
+}
 
-	eng := sim.New()
-	aud := audit.New(eng, cfg.Audit)
-	inj := fault.NewInjector(eng, cfg.Faults)
-	f := &Fabric{Eng: eng, Cfg: cfg, Auditor: aud, Faults: inj}
-	f.Switch = NewSwitch(eng, cfg.Switch, aud)
-	for i := 0; i < cfg.Hosts; i++ {
-		hinj := (*fault.Injector)(nil)
-		if i == fh {
-			hinj = inj
-		}
-		hcfg := cfg.Host
-		hcfg.Name = fmt.Sprintf("%s/h%d", hcfg.Name, i)
-		h := host.NewOn(eng, aud, hinj, fmt.Sprintf("h%d", i), hcfg)
-		base := h.Region(cfg.NIC.BufBytes)
-		nic := NewNIC(eng, cfg.NIC, h.IIO, f.Switch, i, NodeID{Host: i}, base, aud)
-		f.Switch.attach(i, nic)
-		if i == fh {
-			inj.AttachNIC(nic)
-			inj.AttachLink(nic)
-		}
-		f.Hosts = append(f.Hosts, h)
-		f.NICs = append(f.NICs, nic)
-	}
-	if aud.Enabled() {
-		aud.Check("fabric", "line_conservation", f.conservation)
-	}
-	inj.Start()
-	return f
+// addHost builds host i on eng with its NIC attached to the switch port of
+// the same index.
+func (r *rack) addHost(eng *sim.Engine, aud *audit.Auditor, inj *fault.Injector, i int) *NIC {
+	hcfg := r.Cfg.Host
+	hcfg.Name = fmt.Sprintf("%s/h%d", hcfg.Name, i)
+	h := host.NewOn(eng, aud, inj, fmt.Sprintf("h%d", i), hcfg)
+	base := h.Region(r.Cfg.NIC.BufBytes)
+	nic := NewNIC(eng, r.Cfg.NIC, h.IIO, r.Switch, i, NodeID{Host: i}, base, aud)
+	r.Switch.attach(i, nic)
+	r.Hosts = append(r.Hosts, h)
+	r.NICs = append(r.NICs, nic)
+	return nic
 }
 
 // AddFlow offers a stream from host src to host dst at `rate` (fraction of
 // NIC line rate in (0, 1]).
-func (f *Fabric) AddFlow(src, dst int, rate float64) {
+func (r *rack) AddFlow(src, dst int, rate float64) {
 	if src == dst {
 		panic("fabric: flow source equals destination")
 	}
-	f.NICs[src].AddFlow(dst, rate)
+	r.NICs[src].AddFlow(dst, rate)
 }
 
 // AddIncast points hosts 1..senders at host recv, each at full line rate —
 // the M-to-1 pattern of the incast experiment.
-func (f *Fabric) AddIncast(recv, senders int) {
+func (r *rack) AddIncast(recv, senders int) {
 	added := 0
 	for i := 0; added < senders; i++ {
 		if i == recv {
 			continue
 		}
-		f.AddFlow(i, recv, 1)
+		r.AddFlow(i, recv, 1)
 		added++
 	}
 }
 
-// conservation is the fabric-wide end-to-end invariant: every line ever
-// emitted is, at any event boundary, in exactly one place — on a wire, in a
-// switch or NIC queue, in the forwarding pipeline, in flight inside a host,
-// delivered, or (never, under working PFC) dropped.
-func (f *Fabric) conservation() (bool, string) {
-	var sent, acct int64
-	for _, n := range f.NICs {
-		sent += n.sentTotal
-		acct += n.queued() + n.deliveredTotal + n.dropTotal
+// InFlight reports lines currently between a sender's TX and delivery: on a
+// wire, in a switch or NIC queue, in the forwarding pipeline, in flight
+// inside a host, or riding a cross-partition message.
+func (r *rack) InFlight() int64 {
+	q := r.Switch.queued() + r.inTransit
+	for _, n := range r.NICs {
+		q += n.queued()
 	}
-	acct += f.Switch.queued() + f.Switch.dropTotal
+	return q
+}
+
+// Conservation is the rack-wide end-to-end invariant: every line ever
+// emitted is, at any event boundary (a round boundary on a partitioned
+// rack), in flight, delivered, or (never, under working PFC) dropped.
+func (r *rack) Conservation() (bool, string) {
+	var sent int64
+	acct := r.InFlight() + r.Switch.dropTotal
+	for _, n := range r.NICs {
+		sent += n.sentTotal
+		acct += n.deliveredTotal + n.dropTotal
+	}
 	if sent != acct {
 		return false, fmt.Sprintf("emitted %d lines but account for %d", sent, acct)
 	}
 	return true, ""
 }
 
-// Conservation exposes the invariant for tests (ok, detail).
-func (f *Fabric) Conservation() (bool, string) { return f.conservation() }
-
-// InFlight reports lines currently between a sender's TX and delivery.
-func (f *Fabric) InFlight() int64 {
-	var q int64
-	for _, n := range f.NICs {
-		q += n.queued()
-	}
-	return q + f.Switch.queued()
-}
-
 // ResetStats starts a fresh measurement window on every probe in the rack.
-func (f *Fabric) ResetStats() {
-	for _, h := range f.Hosts {
+func (r *rack) ResetStats() {
+	for _, h := range r.Hosts {
 		h.ResetStats()
 	}
-	for _, n := range f.NICs {
+	for _, n := range r.NICs {
 		n.ResetStats()
 	}
-	f.Switch.ResetStats()
+	r.Switch.ResetStats()
+}
+
+// Fabric is an assembled rack: N hosts, their NICs, and the ToR, all on one
+// engine.
+type Fabric struct {
+	rack
+	Eng     *sim.Engine
+	Auditor *audit.Auditor
+	Faults  *fault.Injector
+}
+
+// New assembles a fabric. The existing single-host layers are reused
+// unchanged: each host is built by host.NewOn on the shared engine, the
+// shared auditor namespaces each host's invariant domains, and the fault
+// injector attaches to the fault host's components plus its NIC (as both
+// fault.NIC and fault.Link) before Start schedules the windows.
+func New(cfg Config) *Fabric {
+	f := &Fabric{rack: newRack(cfg)}
+	if fh := f.Cfg.FaultHost; fh < 0 || fh >= f.Cfg.Hosts {
+		f.Cfg.FaultHost = 0
+	}
+	f.Eng = sim.New()
+	f.Auditor = audit.New(f.Eng, f.Cfg.Audit)
+	f.Faults = fault.NewInjector(f.Eng, f.Cfg.Faults)
+	f.Switch = NewSwitch(f.Eng, f.Cfg.Switch, f.Auditor)
+	for i := 0; i < f.Cfg.Hosts; i++ {
+		if i != f.Cfg.FaultHost {
+			f.addHost(f.Eng, f.Auditor, nil, i)
+			continue
+		}
+		nic := f.addHost(f.Eng, f.Auditor, f.Faults, i)
+		f.Faults.AttachNIC(nic)
+		f.Faults.AttachLink(nic)
+	}
+	if f.Auditor.Enabled() {
+		f.Auditor.Check("fabric", "line_conservation", f.Conservation)
+	}
+	f.Faults.Start()
+	return f
 }
 
 // Run warms the rack up for `warmup`, resets all probes, then runs the

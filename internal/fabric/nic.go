@@ -272,11 +272,11 @@ func (n *NIC) txArriveEvent(arg any) {
 // txDepartEvent is the partitioned-rack TX completion: serialization done,
 // the line leaves the host partition as a message that lands at the switch
 // ingress after the wire propagation. The on-the-wire interval is accounted
-// by the rack's posted/delivered counters instead of wireTx.
+// by the rack's in-transit counter instead of wireTx.
 func (n *NIC) txDepartEvent(arg any) {
 	f := arg.(*Flow)
 	n.wireTx--
-	n.par.post(1+n.port, 0, n.cfg.PropDelay, mArrive, n.port, f.dst)
+	n.par.post(n.eng, 0, n.cfg.PropDelay, mArrive, n.port, f.dst)
 }
 
 // setTxPaused lands switch-asserted PFC at the TX (post-propagation).
@@ -307,7 +307,7 @@ func (n *NIC) rxArriveEvent(any) {
 // from rxArriveEvent after the wire propagation; on a partitioned rack the
 // cross-partition message delivery calls it directly (the wire time was
 // spent in the message latency, and the line was accounted by the rack's
-// posted/delivered counters rather than wireRx).
+// in-transit counter rather than wireRx).
 func (n *NIC) rxLand() {
 	if n.rxQ.full() {
 		// PFC should have stopped the switch egress before headroom ran out.
@@ -365,7 +365,7 @@ func (n *NIC) updateRxPFC() {
 			if want {
 				v = 1
 			}
-			n.par.post(1+n.port, 0, n.cfg.PauseDelay, mEgressPause, n.port, v)
+			n.par.post(n.eng, 0, n.cfg.PauseDelay, mEgressPause, n.port, v)
 		} else {
 			n.eng.AfterFunc(n.cfg.PauseDelay, n.rxPauseFn, nil)
 		}
@@ -403,12 +403,6 @@ func (n *NIC) FaultSetLineMult(mult float64) {
 	}
 	n.lineMult = mult
 }
-
-// SentTotal reports lines emitted since construction (never reset).
-func (n *NIC) SentTotal() int64 { return n.sentTotal }
-
-// DeliveredTotal reports lines DMA-completed since construction (never reset).
-func (n *NIC) DeliveredTotal() int64 { return n.deliveredTotal }
 
 // queued reports lines this NIC currently holds on wires, in its RX buffer,
 // or in flight inside the host (a conservation term).

@@ -23,8 +23,8 @@ func parRackConfig() Config {
 	return cfg
 }
 
-func buildParRack(workers int) *Parallel {
-	pf := NewParallel(parRackConfig(), workers)
+func buildParRack() *Parallel {
+	pf := NewParallel(parRackConfig())
 	pf.AddIncast(0, 2)
 	for i := 0; i < 4; i++ {
 		base := pf.Hosts[0].Region(1 << 30)
@@ -35,7 +35,7 @@ func buildParRack(workers int) *Parallel {
 
 // rackProbe is the full observable fingerprint of a rack run: every NIC and
 // switch probe the incast experiment reads, plus the raw conservation terms.
-// Exact float64 equality across worker counts is the point.
+// Exact float64 equality across runs is the point.
 type rackProbe struct {
 	TxBW, TxPause, RxBW, RxPause []float64
 	RxQueueOcc                   []float64
@@ -72,24 +72,22 @@ const (
 	parWindow = 15 * sim.Microsecond
 )
 
-// TestParallelRackWorkerIdentity is the conservative-DES pinned invariant:
-// the same partitioned rack advanced by 1, 2, and N goroutines produces
-// bit-identical results, because per-partition execution is single-threaded
-// within a round and barrier injection order is canonical.
-func TestParallelRackWorkerIdentity(t *testing.T) {
-	run := func(workers int) rackProbe {
-		pf := buildParRack(workers)
+// TestParallelRackRepeatIdentity pins the conservative-DES determinism:
+// two racks built from the same configuration produce bit-identical
+// fingerprints, because each partition runs single-threaded within a round
+// and barrier injection order is canonical.
+func TestParallelRackRepeatIdentity(t *testing.T) {
+	run := func() rackProbe {
+		pf := buildParRack()
 		pf.Run(parWarm, parWindow)
 		if ok, detail := pf.Conservation(); !ok {
-			t.Fatalf("workers=%d: conservation violated: %s", workers, detail)
+			t.Fatalf("conservation violated: %s", detail)
 		}
 		return probeParRack(pf)
 	}
-	want := run(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := run(w); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d diverged from serial rounds:\ngot  %+v\nwant %+v", w, got, want)
-		}
+	want := run()
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeat run diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 	// The run must actually exercise both cross-partition pause directions,
 	// or the identity above is vacuous for half the message kinds.
@@ -116,7 +114,7 @@ func TestParallelMatchesSharedPhysics(t *testing.T) {
 	}
 	shared.Run(parWarm, parWindow)
 
-	part := buildParRack(2)
+	part := buildParRack()
 	part.Run(parWarm, parWindow)
 
 	close := func(name string, a, b float64) {
@@ -150,5 +148,5 @@ func TestParallelRejectsFaults(t *testing.T) {
 	}()
 	cfg := parRackConfig()
 	cfg.Faults = fault.Schedule{{Kind: fault.PauseStorm, StartNs: 1000, DurationNs: 1000}}
-	NewParallel(cfg, 2)
+	NewParallel(cfg)
 }

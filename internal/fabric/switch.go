@@ -276,7 +276,7 @@ func (s *Switch) egrDoneEvent(arg any) {
 	if s.par != nil {
 		// Partitioned: the line leaves the switch partition now and lands at
 		// the host NIC after the wire propagation rides the message latency.
-		s.par.post(0, 1+p.idx, s.par.Cfg.NIC.PropDelay, mWireDeliver, p.idx, 0)
+		s.par.post(s.eng, 1+p.idx, s.par.Cfg.NIC.PropDelay, mWireDeliver, p.idx, 0)
 	} else {
 		p.nic.wireDeliver()
 	}
@@ -322,7 +322,7 @@ func (s *Switch) updateTxPause(p *port) {
 			if want {
 				v = 1
 			}
-			s.par.post(0, 1+p.idx, s.cfg.PauseDelay, mTxPause, p.idx, v)
+			s.par.post(s.eng, 1+p.idx, s.cfg.PauseDelay, mTxPause, p.idx, v)
 		} else {
 			s.eng.AfterFunc(s.cfg.PauseDelay, s.txPauseFn, p)
 		}
@@ -386,7 +386,3 @@ func (s *Switch) PortOutOccAvg(i int) float64 { return s.ports[i].OutOcc.Avg() }
 // PortHoLFrac reports the fraction of the window port i's ingress spent
 // head-of-line blocked.
 func (s *Switch) PortHoLFrac(i int) float64 { return s.ports[i].HoLFrac.Frac() }
-
-// PortTxPaused reports whether the switch currently holds port i's host TX
-// paused (pre-propagation hysteresis state).
-func (s *Switch) PortTxPaused(i int) bool { return s.ports[i].txPause }

@@ -41,10 +41,10 @@ func TestFiniteWorkloadQuiesces(t *testing.T) {
 	if st.LinesRead.Count() != 500 {
 		t.Fatalf("completed %d of 500", st.LinesRead.Count())
 	}
-	if st.LFBOcc.Level() != 0 {
-		t.Fatalf("LFB credits leaked: %d", st.LFBOcc.Level())
+	if st.LFBLat.Occ.Level() != 0 {
+		t.Fatalf("LFB credits leaked: %d", st.LFBLat.Occ.Level())
 	}
-	if h.MC.Stats().RPQOcc.Level() != 0 || h.MC.Stats().WPQOcc.Level() != 0 {
+	if h.MC.Stats().ReadLat.Occ.Level() != 0 || h.MC.Stats().WPQOcc.Level() != 0 {
 		t.Fatalf("MC queues not drained")
 	}
 }

@@ -88,7 +88,7 @@ func TestHostInvariantsUnderRandomMixes(t *testing.T) {
 			return false
 		}
 		for _, c := range h.Cores {
-			if c.Stats().LFBOcc.Max() > h.Cfg.Core.LFBEntries {
+			if c.Stats().LFBLat.Occ.Max() > h.Cfg.Core.LFBEntries {
 				t.Logf("LFB occupancy exceeded entries")
 				return false
 			}

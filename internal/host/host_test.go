@@ -25,7 +25,7 @@ func TestC2MReadUnloadedCalibration(t *testing.T) {
 		t.Fatalf("unloaded C2M-Read latency = %.1f ns, want ~70", lat)
 	}
 	// The core keeps all LFB credits in flight.
-	if occ := h.Cores[0].Stats().LFBOcc.Max(); occ != 12 {
+	if occ := h.Cores[0].Stats().LFBLat.Occ.Max(); occ != 12 {
 		t.Fatalf("LFB occupancy max = %d, want 12", occ)
 	}
 	// Throughput = C*64/L.

@@ -362,78 +362,3 @@ func (s *Samples) Mean() float64 {
 	}
 	return sum / float64(len(s.xs))
 }
-
-// Histogram accumulates latency observations in exponential buckets and
-// reports percentiles — the probe behind tail-latency measurements (the
-// paper's production studies report tail inflation; the simulator exposes
-// the same view per domain).
-type Histogram struct {
-	// buckets[0] covers [0, 2) ns — including sub-nanosecond samples, which
-	// ObserveNs has always placed there — and bucket i >= 1 covers
-	// [2^i, 2^(i+1)) ns.
-	buckets []uint64
-	count   uint64
-	maxNs   float64
-}
-
-// NewHistogram returns an empty histogram covering 0 ns .. ~1 s.
-func NewHistogram() *Histogram { return &Histogram{buckets: make([]uint64, 30)} }
-
-// ObserveNs records one latency sample in nanoseconds.
-func (h *Histogram) ObserveNs(ns float64) {
-	if ns < 0 {
-		return
-	}
-	if ns > h.maxNs {
-		h.maxNs = ns
-	}
-	i := 0
-	v := ns
-	for v >= 2 && i < len(h.buckets)-1 {
-		v /= 2
-		i++
-	}
-	h.buckets[i]++
-	h.count++
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Max reports the largest observed sample.
-func (h *Histogram) Max() float64 { return h.maxNs }
-
-// PercentileNs reports an upper bound on the p-quantile (p in [0,1]) using
-// bucket upper edges, clamped to the largest observed sample; resolution is
-// a factor of two. Since bucket 0 is [0, 2), a histogram of sub-nanosecond
-// samples reports their true maximum rather than an invented 1-2 ns floor.
-func (h *Histogram) PercentileNs(p float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(p * float64(h.count))
-	if target >= h.count {
-		return h.maxNs
-	}
-	var cum uint64
-	for i, n := range h.buckets {
-		cum += n
-		if cum > target {
-			edge := float64(uint64(1) << (i + 1)) // bucket upper edge
-			if edge > h.maxNs {
-				edge = h.maxNs
-			}
-			return edge
-		}
-	}
-	return h.maxNs
-}
-
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count = 0
-	h.maxNs = 0
-}

@@ -211,70 +211,6 @@ func TestSamplesReset(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram()
-	// 90 fast samples at ~70ns, 10 slow at ~1000ns.
-	for i := 0; i < 90; i++ {
-		h.ObserveNs(70)
-	}
-	for i := 0; i < 10; i++ {
-		h.ObserveNs(1000)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	p50 := h.PercentileNs(0.5)
-	if p50 < 70 || p50 > 128 {
-		t.Fatalf("p50 = %v, want the ~70ns bucket", p50)
-	}
-	p99 := h.PercentileNs(0.99)
-	if p99 < 512 {
-		t.Fatalf("p99 = %v, want the ~1000ns bucket", p99)
-	}
-	if h.Max() != 1000 {
-		t.Fatalf("max = %v", h.Max())
-	}
-}
-
-func TestHistogramEdgeCases(t *testing.T) {
-	h := NewHistogram()
-	if h.PercentileNs(0.99) != 0 {
-		t.Fatalf("empty histogram percentile nonzero")
-	}
-	h.ObserveNs(-5) // ignored
-	if h.Count() != 0 {
-		t.Fatalf("negative sample counted")
-	}
-	h.ObserveNs(0.5)
-	h.ObserveNs(1e12) // clamps to the top bucket
-	if h.Count() != 2 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if got := h.PercentileNs(1.0); got != 1e12 {
-		t.Fatalf("p100 = %v, want max", got)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatalf("reset incomplete")
-	}
-}
-
-func TestHistogramMonotonePercentilesProperty(t *testing.T) {
-	h := NewHistogram()
-	r := sim.RNG(5)
-	for i := 0; i < 1000; i++ {
-		h.ObserveNs(float64(r.IntN(10000)) + 1)
-	}
-	prev := 0.0
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99, 1.0} {
-		v := h.PercentileNs(p)
-		if v < prev {
-			t.Fatalf("percentiles not monotone: p%.2f=%v after %v", p, v, prev)
-		}
-		prev = v
-	}
-}
-
 // TestSamplesQuantileMemoInvalidation pins the memoized-sort contract: the
 // quantile view must reflect samples added or discarded after a prior
 // Quantile call sorted the window.
@@ -319,65 +255,6 @@ func TestSamplesQuantileRepeatedReadsAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("repeated Quantile reads allocated %v per run, want 0", allocs)
-	}
-}
-
-func TestHistogramBucketZeroRange(t *testing.T) {
-	// Bucket 0 covers [0, 2) ns: sub-2ns samples land together and report
-	// via the max-clamp rather than a fabricated 1ns bucket boundary.
-	h := NewHistogram()
-	h.ObserveNs(0)
-	h.ObserveNs(0.25)
-	h.ObserveNs(1.999)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
-	}
-	// All three are in bucket 0; every percentile clamps to the true max.
-	for _, p := range []float64{0, 0.5, 0.999, 1} {
-		if got := h.PercentileNs(p); got != 1.999 {
-			t.Fatalf("PercentileNs(%v) = %v, want 1.999 (true max of bucket 0)", p, got)
-		}
-	}
-}
-
-func TestHistogramPercentileExtremes(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 10; i++ {
-		h.ObserveNs(70)
-	}
-	h.ObserveNs(900)
-	// p=0 is the smallest observation's bucket; p=1 is the max.
-	if p0 := h.PercentileNs(0); p0 < 64 || p0 > 128 {
-		t.Fatalf("p0 = %v, want the ~70ns bucket", p0)
-	}
-	if p1 := h.PercentileNs(1); p1 != 900 {
-		t.Fatalf("p1 = %v, want exactly the max (900)", p1)
-	}
-}
-
-func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveNs(333)
-	for _, p := range []float64{0, 0.5, 1} {
-		if got := h.PercentileNs(p); got != 333 {
-			t.Fatalf("PercentileNs(%v) = %v, want 333 (single sample clamps to max)", p, got)
-		}
-	}
-}
-
-func TestHistogramAllZeroSamples(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 5; i++ {
-		h.ObserveNs(0)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if got := h.PercentileNs(0.99); got != 0 {
-		t.Fatalf("p99 = %v, want 0 for all-zero samples", got)
-	}
-	if h.Max() != 0 {
-		t.Fatalf("max = %v, want 0", h.Max())
 	}
 }
 
